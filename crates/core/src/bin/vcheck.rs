@@ -129,16 +129,21 @@
 //! the same tree, telemetry enabled or not; every reply carries a monotonic
 //! `trace_id`, and `{"op":"status"}` reports per-op latency percentiles,
 //! cache effectiveness, and the request funnel (see DESIGN.md §16). Exit
-//! status: 0 on `{"op":"shutdown"}` or stdin EOF, 2 on startup errors;
-//! malformed requests, panics, and deadline overruns are answered on the
-//! protocol, never fatal.
+//! status: 0 on `{"op":"shutdown"}` or stdin EOF, 2 when the project
+//! directory cannot be read at startup; a `history.json` that fails to
+//! load, malformed requests, panics, and deadline overruns are answered
+//! on the protocol (an error reply per request), never fatal.
 //!
 //! The `tail` subcommand renders a serve event log, oldest first (the
 //! rotated `.1` generation first, then the live file): `vcheck tail
 //! serve.events [--since SECS] [--op scan] [--json]`. Exit status: 0, or
 //! 2 when the log does not exist.
 
-use std::path::PathBuf;
+use std::{
+    path::{Path, PathBuf},
+    str::FromStr,
+    time::{Duration, Instant},
+};
 
 use valuecheck::{
     delta::{
@@ -146,14 +151,15 @@ use valuecheck::{
         DeltaStatus, //
     },
     eventlog,
+    harden::FailureRecord,
     history::{
         history_scan,
         tracks_to_csv, //
     },
     incremental::SnapshotStore,
     pipeline::{
+        record_front_end,
         run_sentinel,
-        run_with_obs,
         Options, //
     },
     project::{load_dir, load_dir_or_empty},
@@ -167,7 +173,7 @@ use valuecheck::{
     suppress::SuppressStore,
 };
 use vc_ir::Program;
-use vc_obs::ObsSession;
+use vc_obs::{MetricsSnapshot, ObsSession};
 use vc_vcs::{
     CommitId,
     Repository, //
@@ -202,6 +208,171 @@ fn main() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The shared flag parser
+// ---------------------------------------------------------------------------
+
+/// `--define`, `--all`, `--no-rank`, `--no-prune`, `--metrics-json`.
+const ANALYSIS: u8 = 1;
+/// The batch subcommands' `--stats` and executor flags: `--jobs`,
+/// `--retry`, `--unit-deadline-ms`, `--journal`, `--resume`.
+const BATCH: u8 = 2;
+/// `--budget-steps`, `--budget-ms`.
+const BUDGET: u8 = 4;
+
+/// The argument stream, with the value readers every flag shares. Each
+/// reader takes the full error message and exits 2 with it when the value
+/// is missing or malformed.
+struct Args<I>(I);
+
+impl<I: Iterator<Item = String>> Args<I> {
+    fn value(&mut self, err: &str) -> String {
+        self.0.next().unwrap_or_else(|| die(err))
+    }
+
+    fn path(&mut self, err: &str) -> PathBuf {
+        PathBuf::from(self.value(err))
+    }
+
+    fn number<T: FromStr>(&mut self, err: &str) -> T {
+        self.0
+            .next()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or_else(|| die(err))
+    }
+}
+
+/// Everything the shared flags set, plus the one positional argument.
+struct Common {
+    positional: Option<PathBuf>,
+    defines: Vec<String>,
+    opts: Options,
+    sconf: SentinelConfig,
+    stats: bool,
+    metrics_json: Option<PathBuf>,
+}
+
+impl Common {
+    /// The positional argument; exits 2 with `missing` when absent.
+    fn positional(&self, missing: &str) -> PathBuf {
+        self.positional.clone().unwrap_or_else(|| die(missing))
+    }
+
+    /// The executor configuration: `--resume` without `--journal` journals
+    /// to `dir/<journal>`, and the defines salt the fingerprints.
+    fn sentinel(&self, dir: &Path, journal: &str) -> SentinelConfig {
+        let mut sconf = self.sconf.clone();
+        if sconf.resume && sconf.journal.is_none() {
+            sconf.journal = Some(dir.join(journal));
+        }
+        sconf.fingerprint_salt = salt_strings(&self.defines);
+        sconf
+    }
+
+    /// `--stats` (to stderr) and `--metrics-json` for a finished run.
+    fn emit_metrics(&self, snapshot: &MetricsSnapshot) {
+        if self.stats {
+            eprint!("{}", snapshot.render_text());
+        }
+        if let Some(path) = &self.metrics_json {
+            write_file(path, snapshot.to_json_export().to_string_pretty());
+        }
+    }
+}
+
+/// Parses one subcommand's arguments: the shared flag `groups`, then the
+/// subcommand's `own` flags (it returns `false` for a flag it does not
+/// know), then one positional argument. `--help` prints `usage` and exits
+/// 0; anything else exits 2 as an unknown argument.
+fn parse_args<I: Iterator<Item = String>>(
+    args: I,
+    groups: u8,
+    usage: &str,
+    mut own: impl FnMut(&str, &mut Args<I>) -> bool,
+) -> Common {
+    let mut args = Args(args);
+    let mut c = Common {
+        positional: None,
+        defines: Vec::new(),
+        opts: Options::paper(),
+        sconf: SentinelConfig::default(),
+        stats: false,
+        metrics_json: None,
+    };
+    let (analysis, batch, budget) = (
+        groups & ANALYSIS != 0,
+        groups & BATCH != 0,
+        groups & BUDGET != 0,
+    );
+    while let Some(a) = args.0.next() {
+        match a.as_str() {
+            "--define" if analysis => c.defines.push(args.value("--define needs a symbol")),
+            "--all" if analysis => c.opts.cross_scope_only = false,
+            "--no-rank" if analysis => {
+                c.opts.rank = RankConfig {
+                    enabled: false,
+                    ..RankConfig::default()
+                };
+            }
+            "--no-prune" if analysis => {
+                c.opts.prune = PruneConfig {
+                    config_dependency: false,
+                    cursor: false,
+                    unused_hints: false,
+                    peer_definitions: false,
+                    ..PruneConfig::default()
+                };
+            }
+            "--metrics-json" if analysis => {
+                c.metrics_json = Some(args.path("--metrics-json needs a path"));
+            }
+            "--stats" if batch => c.stats = true,
+            "--jobs" if batch => c.sconf.jobs = args.number("--jobs needs a number"),
+            "--retry" if batch => {
+                c.sconf.retry = args.number::<u32>("--retry needs a number").max(1);
+            }
+            "--unit-deadline-ms" if batch => {
+                let ms = args.number("--unit-deadline-ms needs a number");
+                c.sconf.unit_deadline = Some(Duration::from_millis(ms));
+            }
+            "--journal" if batch => c.sconf.journal = Some(args.path("--journal needs a path")),
+            "--resume" if batch => c.sconf.resume = true,
+            "--budget-steps" if budget => {
+                let n = args.number("--budget-steps needs a number");
+                c.opts.harden = c.opts.harden.with_step_budget(n);
+            }
+            "--budget-ms" if budget => {
+                let n = args.number("--budget-ms needs a number");
+                c.opts.harden = c.opts.harden.with_time_budget_ms(n);
+            }
+            "--help" | "-h" => {
+                eprintln!("{usage}");
+                std::process::exit(0);
+            }
+            other if own(other, &mut args) => {}
+            other if c.positional.is_none() && !other.starts_with('-') => {
+                c.positional = Some(PathBuf::from(other));
+            }
+            other => die(&format!("unknown argument `{other}`")),
+        }
+    }
+    c
+}
+
+/// Writes an output file named by a flag; exits 2 when that fails.
+fn write_file(path: &Path, text: impl AsRef<[u8]>) {
+    std::fs::write(path, text).unwrap_or_else(|e| die(&format!("{}: {e}", path.display())));
+}
+
+fn die(msg: &str) -> ! {
+    eprintln!("vcheck: {msg}");
+    std::process::exit(2);
+}
+
+// ---------------------------------------------------------------------------
+// Subcommands
+// ---------------------------------------------------------------------------
+
 /// Resolves a revision argument: `HEAD`, `HEAD~N`, or a numeric commit id.
 fn resolve_rev(repo: &Repository, s: &str) -> Option<CommitId> {
     let commits = repo.commits();
@@ -218,107 +389,32 @@ fn resolve_rev(repo: &Repository, s: &str) -> Option<CommitId> {
     commits.iter().find(|c| c.id.0 == n).map(|c| c.id)
 }
 
-fn delta_main(mut args: impl Iterator<Item = String>) -> ! {
-    let mut dir: Option<PathBuf> = None;
-    let mut defines: Vec<String> = Vec::new();
-    let mut opts = Options::paper();
+const DELTA_USAGE: &str =
+    "Usage: vcheck delta <project-dir> --from REV --to REV [--baseline FILE] \
+    [--write-baseline FILE] [--define SYM]... [--all] [--no-rank] \
+    [--no-prune] [--json] [--stats] [--metrics-json FILE] [--jobs N] \
+    [--retry K] [--unit-deadline-ms N] [--journal FILE] [--resume]";
+
+fn delta_main(args: impl Iterator<Item = String>) -> ! {
     let mut from_rev: Option<String> = None;
     let mut to_rev: Option<String> = None;
     let mut baseline: Option<PathBuf> = None;
     let mut write_baseline: Option<PathBuf> = None;
     let mut json = false;
-    let mut stats = false;
-    let mut metrics_json: Option<PathBuf> = None;
-    let mut sconf = SentinelConfig::default();
-
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--from" => from_rev = Some(args.next().unwrap_or_else(|| die("--from needs a REV"))),
-            "--to" => to_rev = Some(args.next().unwrap_or_else(|| die("--to needs a REV"))),
-            "--baseline" => {
-                baseline = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| die("--baseline needs a path")),
-                ));
-            }
+    let c = parse_args(args, ANALYSIS | BATCH, DELTA_USAGE, |flag, args| {
+        match flag {
+            "--from" => from_rev = Some(args.value("--from needs a REV")),
+            "--to" => to_rev = Some(args.value("--to needs a REV")),
+            "--baseline" => baseline = Some(args.path("--baseline needs a path")),
             "--write-baseline" => {
-                write_baseline = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| die("--write-baseline needs a path")),
-                ));
-            }
-            "--define" => {
-                defines.push(
-                    args.next()
-                        .unwrap_or_else(|| die("--define needs a symbol")),
-                );
-            }
-            "--all" => opts.cross_scope_only = false,
-            "--no-rank" => {
-                opts.rank = RankConfig {
-                    enabled: false,
-                    ..RankConfig::default()
-                };
-            }
-            "--no-prune" => {
-                opts.prune = PruneConfig {
-                    config_dependency: false,
-                    cursor: false,
-                    unused_hints: false,
-                    peer_definitions: false,
-                    ..PruneConfig::default()
-                };
+                write_baseline = Some(args.path("--write-baseline needs a path"));
             }
             "--json" => json = true,
-            "--stats" => stats = true,
-            "--metrics-json" => {
-                metrics_json = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| die("--metrics-json needs a path")),
-                ));
-            }
-            "--jobs" => {
-                sconf.jobs = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--jobs needs a number"));
-            }
-            "--retry" => {
-                let k: u32 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--retry needs a number"));
-                sconf.retry = k.max(1);
-            }
-            "--unit-deadline-ms" => {
-                let ms: u64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--unit-deadline-ms needs a number"));
-                sconf.unit_deadline = Some(std::time::Duration::from_millis(ms));
-            }
-            "--journal" => {
-                sconf.journal = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| die("--journal needs a path")),
-                ));
-            }
-            "--resume" => sconf.resume = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "Usage: vcheck delta <project-dir> --from REV --to REV [--baseline FILE] \
-                     [--write-baseline FILE] [--define SYM]... [--all] [--no-rank] [--no-prune] \
-                     [--json] [--stats] [--metrics-json FILE] [--jobs N] [--retry K] \
-                     [--unit-deadline-ms N] [--journal FILE] [--resume]"
-                );
-                std::process::exit(0);
-            }
-            other if dir.is_none() && !other.starts_with('-') => {
-                dir = Some(PathBuf::from(other));
-            }
-            other => die(&format!("unknown argument `{other}`")),
+            _ => return false,
         }
-    }
-    let dir = dir.unwrap_or_else(|| die("missing <project-dir>"));
+        true
+    });
+    let dir = c.positional("missing <project-dir>");
     let from_rev = from_rev.unwrap_or_else(|| die("delta needs --from REV"));
     let to_rev = to_rev.unwrap_or_else(|| die("delta needs --to REV"));
 
@@ -342,18 +438,14 @@ fn delta_main(mut args: impl Iterator<Item = String>) -> ! {
         None => Default::default(),
     };
 
-    if sconf.resume && sconf.journal.is_none() {
-        sconf.journal = Some(dir.join("delta.journal"));
-    }
-    sconf.fingerprint_salt = salt_strings(&defines);
-
+    let sconf = c.sentinel(&dir, "delta.journal");
     let obs = ObsSession::new();
     let outcome = delta_scan(
         repo,
         from,
         to,
-        &defines,
-        &opts,
+        &c.defines,
+        &c.opts,
         &sconf,
         &baseline_set,
         obs.clone(),
@@ -384,130 +476,38 @@ fn delta_main(mut args: impl Iterator<Item = String>) -> ! {
     } else {
         print!("{}", report.to_csv());
     }
-
-    let snapshot = obs.registry.snapshot();
-    if stats {
-        eprint!("{}", snapshot.render_text());
-    }
-    if let Some(path) = metrics_json {
-        let text = snapshot.to_json_export().to_string_pretty();
-        std::fs::write(&path, text).unwrap_or_else(|e| die(&format!("{}: {e}", path.display())));
-    }
+    c.emit_metrics(&obs.registry.snapshot());
     std::process::exit(if report.has_new() { 1 } else { 0 });
 }
 
-fn history_main(mut args: impl Iterator<Item = String>) -> ! {
-    let mut dir: Option<PathBuf> = None;
-    let mut defines: Vec<String> = Vec::new();
-    let mut opts = Options::paper();
+const HISTORY_USAGE: &str = "Usage: vcheck history <project-dir> [--db FILE] [--suppress FILE] \
+    [--lifecycle-json FILE] [--define SYM]... [--all] [--no-rank] \
+    [--no-prune] [--stats] [--metrics-json FILE] [--jobs N] [--retry K] \
+    [--unit-deadline-ms N] [--journal FILE] [--resume]";
+
+fn history_main(args: impl Iterator<Item = String>) -> ! {
     let mut db_path: Option<PathBuf> = None;
     let mut suppress_path: Option<PathBuf> = None;
     let mut lifecycle_json: Option<PathBuf> = None;
-    let mut stats = false;
-    let mut metrics_json: Option<PathBuf> = None;
-    let mut sconf = SentinelConfig::default();
-
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--db" => {
-                db_path = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| die("--db needs a path")),
-                ));
-            }
-            "--suppress" => {
-                suppress_path = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| die("--suppress needs a path")),
-                ));
-            }
+    let c = parse_args(args, ANALYSIS | BATCH, HISTORY_USAGE, |flag, args| {
+        match flag {
+            "--db" => db_path = Some(args.path("--db needs a path")),
+            "--suppress" => suppress_path = Some(args.path("--suppress needs a path")),
             "--lifecycle-json" => {
-                lifecycle_json = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| die("--lifecycle-json needs a path")),
-                ));
+                lifecycle_json = Some(args.path("--lifecycle-json needs a path"));
             }
-            "--define" => {
-                defines.push(
-                    args.next()
-                        .unwrap_or_else(|| die("--define needs a symbol")),
-                );
-            }
-            "--all" => opts.cross_scope_only = false,
-            "--no-rank" => {
-                opts.rank = RankConfig {
-                    enabled: false,
-                    ..RankConfig::default()
-                };
-            }
-            "--no-prune" => {
-                opts.prune = PruneConfig {
-                    config_dependency: false,
-                    cursor: false,
-                    unused_hints: false,
-                    peer_definitions: false,
-                    ..PruneConfig::default()
-                };
-            }
-            "--stats" => stats = true,
-            "--metrics-json" => {
-                metrics_json = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| die("--metrics-json needs a path")),
-                ));
-            }
-            "--jobs" => {
-                sconf.jobs = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--jobs needs a number"));
-            }
-            "--retry" => {
-                let k: u32 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--retry needs a number"));
-                sconf.retry = k.max(1);
-            }
-            "--unit-deadline-ms" => {
-                let ms: u64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--unit-deadline-ms needs a number"));
-                sconf.unit_deadline = Some(std::time::Duration::from_millis(ms));
-            }
-            "--journal" => {
-                sconf.journal = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| die("--journal needs a path")),
-                ));
-            }
-            "--resume" => sconf.resume = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "Usage: vcheck history <project-dir> [--db FILE] [--suppress FILE] \
-                     [--lifecycle-json FILE] [--define SYM]... [--all] [--no-rank] [--no-prune] \
-                     [--stats] [--metrics-json FILE] [--jobs N] [--retry K] \
-                     [--unit-deadline-ms N] [--journal FILE] [--resume]"
-                );
-                std::process::exit(0);
-            }
-            other if dir.is_none() && !other.starts_with('-') => {
-                dir = Some(PathBuf::from(other));
-            }
-            other => die(&format!("unknown argument `{other}`")),
+            _ => return false,
         }
-    }
-    let dir = dir.unwrap_or_else(|| die("missing <project-dir>"));
+        true
+    });
+    let dir = c.positional("missing <project-dir>");
 
     let project = load_dir(&dir).unwrap_or_else(|e| die(&format!("{}: {e}", dir.display())));
     if !project.has_history {
         die("history needs a history.json (commits to replay)");
     }
 
-    if sconf.resume && sconf.journal.is_none() {
-        sconf.journal = Some(dir.join("history.journal"));
-    }
-    sconf.fingerprint_salt = salt_strings(&defines);
-
+    let sconf = c.sentinel(&dir, "history.journal");
     let suppress = match &suppress_path {
         Some(path) => SuppressStore::load(path),
         None => SuppressStore::default(),
@@ -516,8 +516,8 @@ fn history_main(mut args: impl Iterator<Item = String>) -> ! {
     let obs = ObsSession::new();
     let outcome = history_scan(
         &project.repo,
-        &defines,
-        &opts,
+        &c.defines,
+        &c.opts,
         &sconf,
         suppress,
         obs.clone(),
@@ -549,125 +549,49 @@ fn history_main(mut args: impl Iterator<Item = String>) -> ! {
     );
     print!("{}", tracks_to_csv(&outcome.db));
 
-    let snapshot = obs.registry.snapshot();
-    if stats {
+    if c.stats {
         eprint!("{}", outcome.db.render_funnel());
-        eprint!("{}", snapshot.render_text());
     }
-    if let Some(path) = lifecycle_json {
-        let text = outcome.db.to_json_export().to_string_pretty();
-        std::fs::write(&path, text).unwrap_or_else(|e| die(&format!("{}: {e}", path.display())));
+    if let Some(path) = &lifecycle_json {
+        write_file(path, outcome.db.to_json_export().to_string_pretty());
     }
-    if let Some(path) = metrics_json {
-        let text = snapshot.to_json_export().to_string_pretty();
-        std::fs::write(&path, text).unwrap_or_else(|e| die(&format!("{}: {e}", path.display())));
-    }
+    c.emit_metrics(&obs.registry.snapshot());
     std::process::exit(if funnel.live > 0 { 1 } else { 0 });
 }
 
-fn serve_main(mut args: impl Iterator<Item = String>) -> ! {
-    let mut dir: Option<PathBuf> = None;
-    let mut config = ServeConfig::default();
+const SERVE_USAGE: &str =
+    "Usage: vcheck serve <project-dir> [--define SYM]... [--all] [--no-rank] \
+    [--no-prune] [--deadline-ms N] [--queue-depth N] [--budget-steps N] \
+    [--budget-ms N] [--snapshot FILE] [--trace FILE] [--metrics-json FILE] \
+    [--event-log FILE] [--event-log-max-bytes N]\n\nRequests (JSON lines \
+    on stdin): {\"op\":\"scan\"}, {\"op\":\"update\",\"files\":[..]}, \
+    {\"op\":\"status\"}, {\"op\":\"shutdown\"}";
 
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--define" => {
-                config.defines.push(
-                    args.next()
-                        .unwrap_or_else(|| die("--define needs a symbol")),
-                );
-            }
-            "--all" => config.opts.cross_scope_only = false,
-            "--no-rank" => {
-                config.opts.rank = RankConfig {
-                    enabled: false,
-                    ..RankConfig::default()
-                };
-            }
-            "--no-prune" => {
-                config.opts.prune = PruneConfig {
-                    config_dependency: false,
-                    cursor: false,
-                    unused_hints: false,
-                    peer_definitions: false,
-                    ..PruneConfig::default()
-                };
-            }
+fn serve_main(args: impl Iterator<Item = String>) -> ! {
+    let mut config = ServeConfig::default();
+    let c = parse_args(args, ANALYSIS | BUDGET, SERVE_USAGE, |flag, args| {
+        match flag {
             "--deadline-ms" => {
-                let ms: u64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--deadline-ms needs a number"));
-                config.deadline = Some(std::time::Duration::from_millis(ms));
+                let ms = args.number("--deadline-ms needs a number");
+                config.deadline = Some(Duration::from_millis(ms));
             }
             "--queue-depth" => {
-                let n: usize = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--queue-depth needs a number"));
-                config.queue_depth = n.max(1);
+                config.queue_depth = args.number::<usize>("--queue-depth needs a number").max(1);
             }
-            "--budget-steps" => {
-                let n: u64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--budget-steps needs a number"));
-                config.opts.harden = config.opts.harden.with_step_budget(n);
-            }
-            "--budget-ms" => {
-                let n: u64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--budget-ms needs a number"));
-                config.opts.harden = config.opts.harden.with_time_budget_ms(n);
-            }
-            "--snapshot" => {
-                config.snapshot = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| die("--snapshot needs a path")),
-                ));
-            }
-            "--trace" => {
-                config.trace = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| die("--trace needs a path")),
-                ));
-            }
-            "--metrics-json" => {
-                config.metrics_json = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| die("--metrics-json needs a path")),
-                ));
-            }
-            "--event-log" => {
-                config.event_log = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| die("--event-log needs a path")),
-                ));
-            }
+            "--snapshot" => config.snapshot = Some(args.path("--snapshot needs a path")),
+            "--trace" => config.trace = Some(args.path("--trace needs a path")),
+            "--event-log" => config.event_log = Some(args.path("--event-log needs a path")),
             "--event-log-max-bytes" => {
-                config.event_log_max_bytes = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--event-log-max-bytes needs a number"));
+                config.event_log_max_bytes = args.number("--event-log-max-bytes needs a number");
             }
-            "--help" | "-h" => {
-                eprintln!(
-                    "Usage: vcheck serve <project-dir> [--define SYM]... [--all] [--no-rank] \
-                     [--no-prune] [--deadline-ms N] [--queue-depth N] [--budget-steps N] \
-                     [--budget-ms N] [--snapshot FILE] [--trace FILE] [--metrics-json FILE] \
-                     [--event-log FILE] [--event-log-max-bytes N]\n\nRequests (JSON lines on \
-                     stdin): {{\"op\":\"scan\"}}, {{\"op\":\"update\",\"files\":[..]}}, \
-                     {{\"op\":\"status\"}}, {{\"op\":\"shutdown\"}}"
-                );
-                std::process::exit(0);
-            }
-            other if dir.is_none() && !other.starts_with('-') => {
-                dir = Some(PathBuf::from(other));
-            }
-            other => die(&format!("unknown argument `{other}`")),
+            _ => return false,
         }
-    }
-    let dir = dir.unwrap_or_else(|| die("missing <project-dir>"));
+        true
+    });
+    let dir = c.positional("missing <project-dir>");
+    config.opts = c.opts;
+    config.defines = c.defines;
+    config.metrics_json = c.metrics_json;
     let engine =
         ServeEngine::new(&dir, config).unwrap_or_else(|e| die(&format!("{}: {e}", dir.display())));
     eprintln!(
@@ -682,44 +606,28 @@ fn serve_main(mut args: impl Iterator<Item = String>) -> ! {
     std::process::exit(code);
 }
 
+const TAIL_USAGE: &str = "Usage: vcheck tail <event-log> [--since SECS] [--op OP] [--json]\n\n\
+    Renders a `vcheck serve --event-log` file, oldest first (including the \
+    rotated `.1` generation).\n  --since SECS  only events from the last \
+    SECS seconds\n  --op OP       only events for one op (scan, update, \
+    status, ...)\n  --json        raw JSON records instead of rendered lines";
+
 /// `vcheck tail FILE`: renders a serve event log (see DESIGN.md §16) as
 /// human-readable lines, oldest first, across the rotation boundary.
-fn tail_main(mut args: impl Iterator<Item = String>) -> ! {
-    let mut path: Option<PathBuf> = None;
+fn tail_main(args: impl Iterator<Item = String>) -> ! {
     let mut since: Option<u64> = None;
     let mut op: Option<String> = None;
     let mut json = false;
-
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--since" => {
-                since = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--since needs a number of seconds")),
-                );
-            }
-            "--op" => {
-                op = Some(args.next().unwrap_or_else(|| die("--op needs an op name")));
-            }
+    let c = parse_args(args, 0, TAIL_USAGE, |flag, args| {
+        match flag {
+            "--since" => since = Some(args.number("--since needs a number of seconds")),
+            "--op" => op = Some(args.value("--op needs an op name")),
             "--json" => json = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "Usage: vcheck tail <event-log> [--since SECS] [--op OP] [--json]\n\n\
-                     Renders a `vcheck serve --event-log` file, oldest first (including the \
-                     rotated `.1` generation).\n  --since SECS  only events from the last \
-                     SECS seconds\n  --op OP       only events for one op (scan, update, \
-                     status, ...)\n  --json        raw JSON records instead of rendered lines"
-                );
-                std::process::exit(0);
-            }
-            other if path.is_none() && !other.starts_with('-') => {
-                path = Some(PathBuf::from(other));
-            }
-            other => die(&format!("unknown argument `{other}`")),
+            _ => return false,
         }
-    }
-    let path = path.unwrap_or_else(|| die("missing <event-log> path"));
+        true
+    });
+    let path = c.positional("missing <event-log> path");
     if !path.exists() && !eventlog::EventLog::rotated_path(&path).exists() {
         die(&format!("{}: no such event log", path.display()));
     }
@@ -743,138 +651,38 @@ fn tail_main(mut args: impl Iterator<Item = String>) -> ! {
     std::process::exit(0);
 }
 
-fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
-    let mut dir: Option<PathBuf> = None;
-    let mut defines: Vec<String> = Vec::new();
-    let mut opts = Options::paper();
+const SCAN_USAGE: &str = "Usage: vcheck <project-dir> [--define SYM]... [--all] [--no-rank] \
+    [--no-prune] [--top N] [--json] [--stats] [--metrics-json FILE] [--trace \
+    FILE] [--profile FILE] [--budget-steps N] [--budget-ms N] \
+    [--deadline-ms N] [--jobs N] [--retry K] [--unit-deadline-ms N] \
+    [--journal FILE] [--resume] [--fail-fast]\n       vcheck delta \
+    <project-dir> --from REV --to REV [options] (see `vcheck delta \
+    --help`)\n       vcheck history <project-dir> [options] (see `vcheck \
+    history --help`)\n       vcheck serve <project-dir> [options] (see \
+    `vcheck serve --help`)";
+
+fn scan_main(args: impl Iterator<Item = String>) -> ! {
     let mut top: Option<usize> = None;
     let mut json = false;
-    let mut stats = false;
-    let mut metrics_json: Option<PathBuf> = None;
     let mut trace: Option<PathBuf> = None;
     let mut profile: Option<PathBuf> = None;
     let mut fail_fast = false;
     let mut deadline_ms: Option<u64> = None;
-    let mut sconf = SentinelConfig::default();
-
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--define" => {
-                defines.push(
-                    args.next()
-                        .unwrap_or_else(|| die("--define needs a symbol")),
-                );
-            }
-            "--deadline-ms" => {
-                deadline_ms = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--deadline-ms needs a number")),
-                );
-            }
-            "--all" => opts.cross_scope_only = false,
-            "--no-rank" => {
-                opts.rank = RankConfig {
-                    enabled: false,
-                    ..RankConfig::default()
-                };
-            }
-            "--no-prune" => {
-                opts.prune = PruneConfig {
-                    config_dependency: false,
-                    cursor: false,
-                    unused_hints: false,
-                    peer_definitions: false,
-                    ..PruneConfig::default()
-                };
-            }
-            "--top" => {
-                top = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| die("--top needs a number")),
-                );
-            }
+    let c = parse_args(args, ANALYSIS | BATCH | BUDGET, SCAN_USAGE, |flag, args| {
+        match flag {
+            "--deadline-ms" => deadline_ms = Some(args.number("--deadline-ms needs a number")),
+            "--top" => top = Some(args.number("--top needs a number")),
             "--json" => json = true,
-            "--stats" => stats = true,
-            "--budget-steps" => {
-                let n: u64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--budget-steps needs a number"));
-                opts.harden = opts.harden.with_step_budget(n);
-            }
-            "--budget-ms" => {
-                let n: u64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--budget-ms needs a number"));
-                opts.harden = opts.harden.with_time_budget_ms(n);
-            }
-            "--jobs" => {
-                sconf.jobs = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--jobs needs a number"));
-            }
-            "--retry" => {
-                let k: u32 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--retry needs a number"));
-                sconf.retry = k.max(1);
-            }
-            "--unit-deadline-ms" => {
-                let ms: u64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--unit-deadline-ms needs a number"));
-                sconf.unit_deadline = Some(std::time::Duration::from_millis(ms));
-            }
-            "--journal" => {
-                sconf.journal = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| die("--journal needs a path")),
-                ));
-            }
-            "--resume" => sconf.resume = true,
             "--fail-fast" => fail_fast = true,
-            "--metrics-json" => {
-                metrics_json = Some(PathBuf::from(
-                    args.next()
-                        .unwrap_or_else(|| die("--metrics-json needs a path")),
-                ));
-            }
-            "--trace" => {
-                trace = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| die("--trace needs a path")),
-                ));
-            }
-            "--profile" => {
-                profile = Some(PathBuf::from(
-                    args.next().unwrap_or_else(|| die("--profile needs a path")),
-                ));
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "Usage: vcheck <project-dir> [--define SYM]... [--all] [--no-rank] \
-                     [--no-prune] [--top N] [--json] [--stats] [--metrics-json FILE] \
-                     [--trace FILE] [--profile FILE] [--budget-steps N] [--budget-ms N] \
-                     [--deadline-ms N] [--jobs N] \
-                     [--retry K] [--unit-deadline-ms N] [--journal FILE] [--resume] \
-                     [--fail-fast]\n       vcheck delta <project-dir> --from REV --to REV \
-                     [options] (see `vcheck delta --help`)\n       vcheck history <project-dir> \
-                     [options] (see `vcheck history --help`)\n       vcheck serve <project-dir> \
-                     [options] (see `vcheck serve --help`)"
-                );
-                std::process::exit(0);
-            }
-            other if dir.is_none() && !other.starts_with('-') => {
-                dir = Some(PathBuf::from(other));
-            }
-            other => die(&format!("unknown argument `{other}`")),
+            "--trace" => trace = Some(args.path("--trace needs a path")),
+            "--profile" => profile = Some(args.path("--profile needs a path")),
+            _ => return false,
         }
-    }
-    let dir = dir.unwrap_or_else(|| die("missing <project-dir>"));
+        true
+    });
+    // The deadline covers the whole scan, project load included.
+    let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
+    let dir = c.positional("missing <project-dir>");
 
     // A directory with no `.c` files is a clean project (empty report,
     // exit 0), not a usage error — CI can point vcheck at a repo that
@@ -888,83 +696,14 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
         );
     }
 
-    if let Some(ms) = deadline_ms {
-        // A deadlined scan runs through the serve engine in one-shot mode:
-        // the same code path the daemon uses, so the partial-result
-        // semantics (skip remaining functions, mark every row
-        // low-confidence, append a failure record) are identical, and an
-        // un-deadlined run through it is byte-identical to this batch path.
-        let config = ServeConfig {
-            opts,
-            defines: defines.clone(),
-            ..ServeConfig::default()
-        };
-        let mut engine = ServeEngine::new(&dir, config)
-            .unwrap_or_else(|e| die(&format!("{}: {e}", dir.display())));
-        let resp = engine
-            .scan(Some(ms))
-            .unwrap_or_else(|e| die(&format!("{}: {e}", dir.display())));
-        eprintln!(
-            "vcheck: {} unused definitions, {} cross-scope, {} pruned, {} reported",
-            resp.raw_candidates,
-            resp.cross_scope_candidates,
-            resp.pruned,
-            resp.report.rows.len(),
-        );
-        if resp.deadline_exceeded {
-            eprintln!(
-                "vcheck: deadline of {ms}ms exceeded — report is partial, every row is marked \
-                 low-confidence (exit 3)"
-            );
-        }
-        if !resp.report.failures.is_empty() {
-            eprintln!(
-                "vcheck: {} unit(s) of work failed and were isolated:",
-                resp.report.failures.len()
-            );
-            for f in &resp.report.failures {
-                eprintln!("vcheck:   {f}");
-            }
-        }
-        let mut report = resp.report.clone();
-        if let Some(n) = top {
-            report.rows.truncate(n);
-        }
-        if json {
-            println!("{}", report.to_json());
-        } else {
-            print!("{}", report.to_csv());
-        }
-        if stats {
-            eprint!("{}", engine.obs().registry.snapshot().render_text());
-        }
-        if let Some(path) = metrics_json {
-            let text = engine
-                .obs()
-                .registry
-                .snapshot()
-                .to_json_export()
-                .to_string_pretty();
-            std::fs::write(&path, text)
-                .unwrap_or_else(|e| die(&format!("{}: {e}", path.display())));
-        }
-        let code = if resp.deadline_exceeded {
-            3
-        } else if report.rows.is_empty() {
-            0
-        } else {
-            1
-        };
-        std::process::exit(code);
-    }
-
     let obs = ObsSession::new();
+    let mut opts = c.opts;
     if fail_fast {
         opts.harden.isolate = false;
     }
     let parse_mem = vc_obs::MemScope::enter(vc_obs::alloc::SCOPE_PARSE);
     let (prog, parse_errors, recover_stats) = if fail_fast {
-        let prog = Program::build(&project.source_refs(), &defines)
+        let prog = Program::build(&project.source_refs(), &c.defines)
             .unwrap_or_else(|e| die(&format!("build failed: {e}")));
         (prog, Vec::new(), vc_ir::program::RecoverStats::default())
     } else {
@@ -972,7 +711,7 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
         // error is function-granular when recovery could isolate it, so say
         // which function was dropped/degraded rather than implying the
         // whole file was skipped.
-        let (prog, errors, stats) = Program::build_recovering(&project.source_refs(), &defines);
+        let (prog, errors, stats) = Program::build_recovering(&project.source_refs(), &c.defines);
         for e in &errors {
             match e.function() {
                 Some(func) => eprintln!("vcheck: skipping function {func}: {e}"),
@@ -989,53 +728,20 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
         let _g = obs.install();
         parse_mem.finish();
     }
-    obs.registry.add(
-        vc_obs::names::HARDEN_PARSE_FAILURES,
-        parse_errors.len() as u64,
-    );
-    obs.registry
-        .add(vc_obs::names::RECOVER_LEX_ERRORS, recover_stats.lex_errors);
-    obs.registry.add(
-        vc_obs::names::RECOVER_PARSE_ERRORS,
-        recover_stats.parse_errors,
-    );
-    obs.registry.add(
-        vc_obs::names::RECOVER_POISONED_STMTS,
-        recover_stats.poisoned_stmts,
-    );
-    obs.registry.add(
-        vc_obs::names::RECOVER_FUNCTIONS_DROPPED,
-        recover_stats.functions_dropped,
-    );
-    obs.registry.add(
-        vc_obs::names::RECOVER_FILES_DROPPED,
-        recover_stats.files_dropped,
-    );
+    record_front_end(&obs, &parse_errors, &recover_stats);
 
-    if sconf.resume && sconf.journal.is_none() {
-        sconf.journal = Some(dir.join("scan.journal"));
-    }
-    sconf.fingerprint_salt = salt_strings(&defines);
-
-    // `--fail-fast` wants panics to propagate to the top of the process,
-    // which the sequential path does naturally; everything else runs under
-    // the supervised executor (output is identical either way).
-    let mut analysis = if fail_fast {
-        run_with_obs(&prog, &project.repo, &opts, obs.clone())
-    } else {
-        run_sentinel(&prog, &project.repo, &opts, &sconf, obs.clone())
+    // Every scan runs on the supervised executor. Under `--fail-fast`
+    // isolation is off, so the first panic ends the scan and propagates
+    // to the top of the process.
+    let sconf = SentinelConfig {
+        deadline,
+        ..c.sentinel(&dir, "scan.journal")
     };
+    let mut analysis = run_sentinel(&prog, &project.repo, &opts, &sconf, obs.clone());
     // Front-end failures go ahead of the analysis-stage ones, in input
     // order: one splice instead of repeated `insert(0, ..)` (which is both
     // quadratic and order-reversing).
-    let front_end_failures = parse_errors
-        .iter()
-        .map(|e| valuecheck::harden::FailureRecord {
-            stage: valuecheck::harden::FailStage::Parse,
-            file: e.file().to_string(),
-            function: e.function().map(str::to_string),
-            message: e.to_string(),
-        });
+    let front_end_failures = parse_errors.iter().map(FailureRecord::from_build_error);
     analysis
         .report
         .failures
@@ -1047,6 +753,13 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
         analysis.prune_outcome.total_pruned(),
         analysis.detected()
     );
+    if analysis.deadline_exceeded {
+        eprintln!(
+            "vcheck: deadline of {}ms exceeded — report is partial, every row is marked \
+             low-confidence (exit 3)",
+            deadline_ms.unwrap_or_default()
+        );
+    }
     if !analysis.report.failures.is_empty() {
         eprintln!(
             "vcheck: {} unit(s) of work failed and were isolated:",
@@ -1067,21 +780,15 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
         print!("{}", report.to_csv());
     }
 
-    let snapshot = obs.registry.snapshot();
-    if stats {
-        eprint!("{}", snapshot.render_text());
+    c.emit_metrics(&obs.registry.snapshot());
+    if c.stats {
         let folded = vc_obs::FoldedProfile::from_records(&obs.tracer.records());
         eprint!("{}", folded.render_top(10));
     }
-    if let Some(path) = metrics_json {
-        let text = snapshot.to_json_export().to_string_pretty();
-        std::fs::write(&path, text).unwrap_or_else(|e| die(&format!("{}: {e}", path.display())));
+    if let Some(path) = &trace {
+        write_file(path, obs.tracer.to_chrome_json().to_string_pretty());
     }
-    if let Some(path) = trace {
-        let text = obs.tracer.to_chrome_json().to_string_pretty();
-        std::fs::write(&path, text).unwrap_or_else(|e| die(&format!("{}: {e}", path.display())));
-    }
-    if let Some(path) = profile {
+    if let Some(path) = &profile {
         // The canonical ("logical") view: worker lanes spliced under the
         // pipeline stages, so the stack set is identical for any --jobs N.
         // Weighted by span count, not wall time — wall-clock weights would
@@ -1089,13 +796,14 @@ fn scan_main(mut args: impl Iterator<Item = String>) -> ! {
         // byte-identical across --jobs. Self-times live in the --stats
         // top-frames table.
         let folded = vc_obs::FoldedProfile::logical(&obs.tracer.records());
-        std::fs::write(&path, folded.render(vc_obs::Weight::Samples))
-            .unwrap_or_else(|e| die(&format!("{}: {e}", path.display())));
+        write_file(path, folded.render(vc_obs::Weight::Samples));
     }
-    std::process::exit(if report.rows.is_empty() { 0 } else { 1 });
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("vcheck: {msg}");
-    std::process::exit(2);
+    let code = if analysis.deadline_exceeded {
+        3
+    } else if report.rows.is_empty() {
+        0
+    } else {
+        1
+    };
+    std::process::exit(code);
 }

@@ -63,7 +63,11 @@ use crate::{
         RevisionAnalysis, //
     },
     rank::Ranked,
-    sentinel::SentinelConfig,
+    sentinel::{
+        fnv1a,
+        SentinelConfig,
+        FNV_SEED, //
+    },
 };
 
 /// A drift-stable identity for one finding.
@@ -111,19 +115,6 @@ pub fn normalize_context(line: &str) -> String {
     line.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
-const FNV_SEED: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv1a_field(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    // Field separator, so ("ab","c") != ("a","bc").
-    h ^= 0xFF;
-    h.wrapping_mul(FNV_PRIME)
-}
-
 /// Hashes the stable coordinates of a finding into a [`Fingerprint`].
 pub fn fingerprint_of(
     file: &str,
@@ -134,12 +125,12 @@ pub fn fingerprint_of(
     ordinal: u32,
 ) -> Fingerprint {
     let mut h = FNV_SEED;
-    h = fnv1a_field(h, file.as_bytes());
-    h = fnv1a_field(h, function.as_bytes());
-    h = fnv1a_field(h, variable.as_bytes());
-    h = fnv1a_field(h, scenario.as_bytes());
-    h = fnv1a_field(h, context.as_bytes());
-    h = fnv1a_field(h, &ordinal.to_le_bytes());
+    h = fnv1a(h, file.as_bytes());
+    h = fnv1a(h, function.as_bytes());
+    h = fnv1a(h, variable.as_bytes());
+    h = fnv1a(h, scenario.as_bytes());
+    h = fnv1a(h, context.as_bytes());
+    h = fnv1a(h, &ordinal.to_le_bytes());
     Fingerprint(h)
 }
 

@@ -71,16 +71,6 @@ impl Default for DetectConfig {
     }
 }
 
-/// Detects unused-definition candidates in one function. Builds a one-off
-/// summary and demand oracle; pipeline callers share them across functions
-/// instead (see [`detect_program_hardened`]).
-pub fn detect_function(prog: &Program, fid: FuncId) -> Vec<Candidate> {
-    let interner = SigInterner::new(prog);
-    let oracle = DemandPointer::new(prog, vc_pointer::Config::default(), true);
-    let summary = build_summary(prog.func(fid), interner.sig_of(fid), Budget::UNLIMITED);
-    detect_from_summary(prog.func(fid), fid, &summary, Some(&oracle))
-}
-
 /// One detection unit: build the function's summary under the liveness
 /// [`Budget`], then derive its candidates. When the fixpoint is cut short
 /// the candidates are still produced — from the partial facts — but marked
@@ -204,6 +194,9 @@ pub struct DetectOutcome {
     /// Functions whose liveness budget ran out (their candidates are
     /// marked low-confidence).
     pub liveness_degraded: usize,
+    /// The scan deadline expired: some functions were skipped and every
+    /// candidate is marked low-confidence.
+    pub deadline_exceeded: bool,
 }
 
 /// Detects candidates across the whole program.
@@ -228,6 +221,10 @@ pub fn detect_program(prog: &Program, config: DetectConfig) -> Vec<Candidate> {
 ///   counted as `harden.degraded.liveness`;
 /// - panic inside one function's detection → that function is poisoned
 ///   (`harden.poisoned.detect`), everything else proceeds.
+///
+/// This sequential loop is the reference that the byte-identity tests hold
+/// the [`sentinel`](crate::sentinel) executor to; every production scan
+/// runs on the executor.
 pub fn detect_program_hardened(
     prog: &Program,
     config: DetectConfig,
@@ -236,14 +233,46 @@ pub fn detect_program_hardened(
     let mut out = DetectOutcome::default();
     let oracle = demand_oracle(prog, config, hconf);
     let interner = SigInterner::new(prog);
-    detect_with(prog, oracle.as_ref(), &interner, hconf, &mut out);
+    vc_obs::counter_add(vc_obs::names::DETECT_FUNCTIONS, prog.funcs.len() as u64);
+    for (fi, f) in prog.funcs.iter().enumerate() {
+        let fid = FuncId(fi as u32);
+        let detected = harden::isolated(hconf.isolate, || {
+            harden::failpoint(FailStage::Detect, &f.name);
+            detect_unit(
+                prog,
+                fid,
+                interner.sig_of(fid),
+                oracle.as_ref(),
+                hconf.liveness_budget,
+            )
+        });
+        match detected {
+            Ok((summary, cands)) => {
+                if summary.exhausted {
+                    out.liveness_degraded += 1;
+                    vc_obs::counter_inc(vc_obs::names::HARDEN_DEGRADED_LIVENESS);
+                }
+                out.summaries.insert(fid, summary);
+                out.candidates.extend(cands);
+            }
+            Err(message) => {
+                vc_obs::counter_inc(vc_obs::names::HARDEN_POISONED_DETECT);
+                out.failures.push(FailureRecord {
+                    stage: FailStage::Detect,
+                    file: prog.source.name(f.file).to_string(),
+                    function: Some(f.name.clone()),
+                    message,
+                });
+            }
+        }
+    }
     finalize_pointer_stage(oracle.as_ref(), &mut out);
     out
 }
 
 /// Builds the demand pointer oracle (component partition only — no
-/// solving). Shared by the sequential detection loop above, the parallel
-/// [`sentinel`](crate::sentinel) executor, and the serve engine.
+/// solving). Shared by the sequential reference loop above and the
+/// [`sentinel`](crate::sentinel) executor.
 pub(crate) fn demand_oracle(
     prog: &Program,
     config: DetectConfig,
@@ -288,51 +317,6 @@ pub(crate) fn finalize_pointer_stage(oracle: Option<&DemandPointer>, out: &mut D
     } else if o.degraded() {
         out.pointer_degraded = true;
         vc_obs::counter_inc(vc_obs::names::HARDEN_DEGRADED_POINTER);
-    }
-}
-
-/// Per-function detection loop over a shared demand oracle, inserting each
-/// completed function's summary into `out.summaries` for the prune stage.
-fn detect_with(
-    prog: &Program,
-    oracle: Option<&DemandPointer>,
-    interner: &SigInterner,
-    hconf: HardenConfig,
-    out: &mut DetectOutcome,
-) {
-    vc_obs::counter_add(vc_obs::names::DETECT_FUNCTIONS, prog.funcs.len() as u64);
-    for fi in 0..prog.funcs.len() {
-        let fid = FuncId(fi as u32);
-        let f = prog.func(fid);
-        let detected = harden::isolated(hconf.isolate, || {
-            harden::failpoint(FailStage::Detect, &f.name);
-            detect_unit(
-                prog,
-                fid,
-                interner.sig_of(fid),
-                oracle,
-                hconf.liveness_budget,
-            )
-        });
-        match detected {
-            Ok((summary, cands)) => {
-                if summary.exhausted {
-                    out.liveness_degraded += 1;
-                    vc_obs::counter_inc(vc_obs::names::HARDEN_DEGRADED_LIVENESS);
-                }
-                out.summaries.insert(fid, summary);
-                out.candidates.extend(cands);
-            }
-            Err(message) => {
-                vc_obs::counter_inc(vc_obs::names::HARDEN_POISONED_DETECT);
-                out.failures.push(FailureRecord {
-                    stage: FailStage::Detect,
-                    file: prog.source.name(f.file).to_string(),
-                    function: Some(f.name.clone()),
-                    message,
-                });
-            }
-        }
     }
 }
 

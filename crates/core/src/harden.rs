@@ -150,6 +150,19 @@ pub struct FailureRecord {
     pub message: String,
 }
 
+impl FailureRecord {
+    /// The record of one lenient front-end build error; front-end records
+    /// lead a report's failures, in input order.
+    pub fn from_build_error(e: &vc_ir::program::BuildError) -> FailureRecord {
+        FailureRecord {
+            stage: FailStage::Parse,
+            file: e.file().to_string(),
+            function: e.function().map(str::to_string),
+            message: e.to_string(),
+        }
+    }
+}
+
 impl std::fmt::Display for FailureRecord {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.function {

@@ -3,17 +3,13 @@
 //! The paper integrates ValueCheck into development by analysing "only the
 //! changed functions and the affected files in a commit", bringing per-commit
 //! cost under five seconds. This module does the same: given a commit, it
-//! rebuilds the program from the snapshot at that commit but runs detection
-//! only for functions defined in the files the commit touched.
+//! rebuilds the program from the snapshot at that commit and runs the
+//! ordinary pipeline with the [`sentinel`](crate::sentinel) executor scoped
+//! to the functions defined in the files the commit touched — the same
+//! fault isolation, summaries, and funnel accounting as a full scan.
 //!
-//! Replaying many commits rebuilds the same snapshots repeatedly (adjacent
-//! commits share most of their tree); [`SnapshotCache`] memoizes built
-//! [`Program`]s by a content hash, and every commit analysed through
-//! [`analyze_commit_cached`] records `incremental.cache.hits` /
-//! `incremental.cache.misses` into the installed observability session.
-//!
-//! [`SnapshotStore`] persists the previous run's findings to disk so a
-//! follow-up run can diff against them. The store is written by a tool that
+//! [`SnapshotStore`] persists a run's findings to disk so a follow-up run
+//! can diff against them. The store is written by a tool that
 //! may be killed mid-write and read by a newer binary with a different
 //! format, so the file carries a trailing content checksum,
 //! [`SnapshotStore::save`] is atomic (temp file + fsync + rename — a
@@ -26,43 +22,35 @@
 use std::{
     collections::{
         BTreeSet,
-        HashMap,
         HashSet, //
     },
     path::Path,
-    sync::Arc,
 };
 
-use vc_dataflow::summary::{
-    SigInterner,
-    Summaries, //
-};
 use vc_ir::{
     program::BuildError,
-    FuncId,
+    FileId,
     Program, //
 };
-use vc_obs::Budget;
-use vc_pointer::demand::DemandPointer;
+use vc_obs::ObsSession;
 use vc_vcs::{
     CommitId,
     Repository, //
 };
 
 use crate::{
-    authorship::AuthorshipCtx,
-    candidate::Candidate,
-    detect::detect_unit,
-    prune::{
-        prune,
-        PeerScope,
-        PeerStats,
-        PruneConfig, //
+    pipeline::{
+        run_scoped,
+        Options, //
     },
+    prune::PruneConfig,
     rank::{
-        rank,
         RankConfig,
         Ranked, //
+    },
+    sentinel::{
+        ScanScope,
+        SentinelConfig, //
     },
 };
 
@@ -77,56 +65,6 @@ pub struct CommitFindings {
     pub analysed_functions: usize,
     /// Ranked findings within the changed functions.
     pub findings: Vec<Ranked>,
-}
-
-/// Memoizes built [`Program`]s by snapshot content, for commit replays.
-///
-/// Keys hash the sorted `(path, content)` pairs of the snapshot plus the
-/// preprocessor defines, so two commits with identical trees (e.g. a revert)
-/// share one build.
-#[derive(Debug, Default)]
-pub struct SnapshotCache {
-    programs: HashMap<u64, Arc<Program>>,
-}
-
-impl SnapshotCache {
-    /// An empty cache.
-    pub fn new() -> SnapshotCache {
-        SnapshotCache::default()
-    }
-
-    /// Number of distinct snapshots built so far.
-    pub fn len(&self) -> usize {
-        self.programs.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.programs.is_empty()
-    }
-
-    /// The program for `commit`'s snapshot, building it on first sight.
-    /// Records a cache hit or miss into the installed observability session.
-    pub fn program_at(
-        &mut self,
-        repo: &Repository,
-        commit: CommitId,
-        defines: &[String],
-    ) -> Result<Arc<Program>, BuildError> {
-        let tree = repo.snapshot_at(commit);
-        let mut sources: Vec<(&str, &str)> =
-            tree.iter().map(|(p, c)| (p.as_str(), c.as_str())).collect();
-        sources.sort_by_key(|(p, _)| p.to_string());
-        let key = snapshot_key(&sources, defines);
-        if let Some(prog) = self.programs.get(&key) {
-            vc_obs::counter_inc(vc_obs::names::INCREMENTAL_CACHE_HITS);
-            return Ok(prog.clone());
-        }
-        vc_obs::counter_inc(vc_obs::names::INCREMENTAL_CACHE_MISSES);
-        let prog = Arc::new(Program::build(&sources, defines)?);
-        self.programs.insert(key, prog.clone());
-        Ok(prog)
-    }
 }
 
 /// On-disk format version of [`SnapshotStore`]. Bumped whenever the line
@@ -306,23 +244,6 @@ impl SnapshotStore {
         Ok(())
     }
 
-    /// Replaces the stored run with `findings` for `commit`. The program is
-    /// needed to resolve file names and compute drift-stable fingerprints.
-    pub fn record(&mut self, prog: &vc_ir::Program, commit: CommitId, findings: &[Ranked]) {
-        self.commit = Some(commit);
-        self.findings = crate::delta::fingerprint_ranked(prog, findings)
-            .into_iter()
-            .map(|f| StoredFinding {
-                function: f.function,
-                variable: f.variable,
-                line: f.line,
-                file: f.file,
-                scenario: f.scenario,
-                fingerprint: f.fingerprint.0,
-            })
-            .collect();
-    }
-
     /// The stored fingerprints as a suppression set (`vcheck delta
     /// --baseline`).
     pub fn fingerprint_set(&self) -> HashSet<u64> {
@@ -349,31 +270,6 @@ impl SnapshotStore {
     }
 }
 
-/// [`analyze_commit`] with on-disk persistence: loads the previous run's
-/// findings from `store_path` (recovering from corruption transparently),
-/// analyses `commit`, and saves the new findings back.
-pub fn analyze_commit_stored(
-    store_path: &Path,
-    repo: &Repository,
-    commit: CommitId,
-    defines: &[String],
-    prune_config: &PruneConfig,
-    rank_config: &RankConfig,
-) -> Result<(CommitFindings, SnapshotStore), BuildError> {
-    let previous = SnapshotStore::load(store_path);
-    let tree = repo.snapshot_at(commit);
-    let mut sources: Vec<(&str, &str)> =
-        tree.iter().map(|(p, c)| (p.as_str(), c.as_str())).collect();
-    sources.sort_by_key(|(p, _)| p.to_string());
-    let prog = Program::build(&sources, defines)?;
-    let findings = analyze_commit_in(&prog, repo, commit, prune_config, rank_config);
-    let mut next = SnapshotStore::default();
-    next.record(&prog, commit, &findings.findings);
-    // A failed save is not fatal: the next run just starts cold.
-    let _ = next.save(store_path);
-    Ok((findings, previous))
-}
-
 /// FNV-1a over a text blob — the content checksum shared by the on-disk
 /// stores (snapshot, suppression, lifecycle DB).
 pub(crate) fn content_hash(text: &str) -> u64 {
@@ -383,47 +279,6 @@ pub(crate) fn content_hash(text: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
-}
-
-/// FNV-1a over the snapshot contents and defines.
-fn snapshot_key(sources: &[(&str, &str)], defines: &[String]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h ^= 0xFF; // Field separator, so ("ab","c") != ("a","bc").
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    for (p, c) in sources {
-        eat(p.as_bytes());
-        eat(c.as_bytes());
-    }
-    for d in defines {
-        eat(d.as_bytes());
-    }
-    h
-}
-
-/// [`analyze_commit`] with snapshot memoization: repeated trees (reverts,
-/// rebuilt replays) reuse the cached [`Program`].
-pub fn analyze_commit_cached(
-    cache: &mut SnapshotCache,
-    repo: &Repository,
-    commit: CommitId,
-    defines: &[String],
-    prune_config: &PruneConfig,
-    rank_config: &RankConfig,
-) -> Result<CommitFindings, BuildError> {
-    let prog = cache.program_at(repo, commit, defines)?;
-    Ok(analyze_commit_in(
-        &prog,
-        repo,
-        commit,
-        prune_config,
-        rank_config,
-    ))
 }
 
 /// Analyses the snapshot at `commit`, detecting only in its changed files.
@@ -455,11 +310,12 @@ pub fn analyze_commit(
 
 /// The incremental fast path: analyses `commit` against a program already
 /// built for that snapshot (the equivalent of the paper's pre-compiled
-/// bitcode). Detection runs only for the changed files' functions, each
-/// producing its summary once; pointer facts are resolved on demand per
-/// indirect-call candidate; peer statistics are scoped (via
+/// bitcode). The executor runs only the changed files' functions, each
+/// isolated and producing its summary once; pointer facts are resolved on
+/// demand per indirect-call candidate; peer statistics are scoped (via
 /// redundant-summary elimination) to the callees and signatures the
-/// surviving candidates actually reference.
+/// surviving candidates actually reference. Records into the installed
+/// [`ObsSession`], if any.
 pub fn analyze_commit_in(
     prog: &Program,
     repo: &Repository,
@@ -473,61 +329,50 @@ pub fn analyze_commit_in(
         .iter()
         .map(|w| w.path.clone())
         .collect();
-    let changed_ids: BTreeSet<vc_ir::FileId> = prog
+    let changed_ids: BTreeSet<FileId> = prog
         .source
         .iter()
         .filter(|f| changed.contains(&f.name))
         .map(|f| f.id)
         .collect();
+    let analysed = prog
+        .funcs
+        .iter()
+        .filter(|f| changed_ids.contains(&f.file))
+        .count();
 
-    let interner = SigInterner::new(prog);
-    let oracle = DemandPointer::new(prog, vc_pointer::Config::default(), true);
-    let mut summaries = Summaries::default();
-    let mut candidates: Vec<Candidate> = Vec::new();
-    let mut analysed = 0usize;
-    for (fi, f) in prog.funcs.iter().enumerate() {
-        if !changed_ids.contains(&f.file) {
-            continue;
-        }
-        analysed += 1;
-        let fid = FuncId(fi as u32);
-        let (summary, cands) = detect_unit(
-            prog,
-            fid,
-            interner.sig_of(fid),
-            Some(&oracle),
-            Budget::UNLIMITED,
-        );
-        summaries.insert(fid, summary);
-        candidates.extend(cands);
-    }
+    let opts = Options {
+        prune: *prune_config,
+        rank: *rank_config,
+        ..Options::paper()
+    };
+    let obs = ObsSession::current_or_new();
+    let _guard = obs.install();
+    let run_span = obs.span("pipeline.run", "pipeline");
+    let scope = ScanScope {
+        files: Some(&changed_ids),
+        ..ScanScope::default()
+    };
+    let analysis = run_scoped(
+        prog,
+        repo,
+        &opts,
+        &SentinelConfig::default(),
+        scope,
+        obs,
+        run_span,
+    );
 
     vc_obs::counter_inc(vc_obs::names::INCREMENTAL_COMMITS);
     vc_obs::counter_add(
         vc_obs::names::INCREMENTAL_FUNCTIONS_ANALYSED,
         analysed as u64,
     );
-
-    let ctx = AuthorshipCtx::new(prog, repo);
-    let attributed: Vec<_> = ctx
-        .attribute_all(&candidates)
-        .into_iter()
-        .filter(|a| a.cross_scope)
-        .collect();
-    // Peer statistics scoped to what the candidates actually reference:
-    // the §8.6 incremental fast path (summaries are only built for
-    // functions sharing a relevant callee or signature; everything else is
-    // eliminated before analysis).
-    let scope = PeerScope::from_items(&interner, &attributed);
-    let peers = PeerStats::compute_with(prog, interner, &mut summaries, Some(&scope));
-    let outcome = prune(prog, prune_config, &peers, &summaries, attributed);
-    let findings = rank(prog, repo, rank_config, outcome.kept);
-
     CommitFindings {
         commit,
         changed_files: changed.into_iter().collect(),
         analysed_functions: analysed,
-        findings,
+        findings: analysis.ranked,
     }
 }
 
@@ -582,6 +427,59 @@ mod tests {
     }
 
     #[test]
+    fn poisoned_changed_function_is_isolated() {
+        let mut repo = Repository::new();
+        let alice = repo.add_author("alice");
+        let bob = repo.add_author("bob");
+        let v1 =
+            "void fa(void) {\nint x = 1;\nuse(x);\n}\nvoid fg(void) {\nint y = 1;\nuse(y);\n}\n";
+        repo.commit(alice, 1, "init", vec![write("a.c", v1)]);
+        let v2 = v1.replace("int x = 1;\n", "int x = 1;\nx = 2;\n");
+        let c = repo.commit(
+            bob,
+            2,
+            "rework",
+            vec![write(
+                "a.c",
+                &v2.replace("int y = 1;\n", "int y = 1;\ny = 2;\n"),
+            )],
+        );
+        let vars = |f: &CommitFindings| -> Vec<String> {
+            f.findings
+                .iter()
+                .map(|r| r.item.candidate.var_name.clone())
+                .collect()
+        };
+        let run = || {
+            analyze_commit(
+                &repo,
+                c,
+                &[],
+                &PruneConfig::default(),
+                &RankConfig::default(),
+            )
+            .unwrap()
+        };
+        assert_eq!(vars(&run()), ["x", "y"]);
+
+        let obs = ObsSession::new();
+        let _g = obs.install();
+        let _fp = crate::harden::arm_failpoint(crate::harden::FailStage::Detect, "fg");
+        let poisoned = run();
+        assert_eq!(vars(&poisoned), ["x"], "the other findings are unchanged");
+        let reg = &obs.registry;
+        assert_eq!(reg.counter(vc_obs::names::HARDEN_POISONED_DETECT), 1);
+        let pruned: u64 = crate::prune::PruneReason::ALL
+            .iter()
+            .map(|r| reg.counter(&vc_obs::names::funnel_pruned(r.label())))
+            .sum();
+        assert_eq!(
+            reg.counter(vc_obs::names::FUNNEL_CROSS_SCOPE),
+            pruned + reg.counter(vc_obs::names::FUNNEL_REPORTED)
+        );
+    }
+
+    #[test]
     fn clean_commit_has_no_findings() {
         let mut repo = Repository::new();
         let a = repo.add_author("a");
@@ -600,44 +498,6 @@ mod tests {
         )
         .unwrap();
         assert!(findings.findings.is_empty());
-    }
-
-    #[test]
-    fn snapshot_cache_hits_on_identical_trees() {
-        let mut repo = Repository::new();
-        let a = repo.add_author("a");
-        let v1 = "int f(void) { return 1; }\n";
-        let v2 = "int f(void) { return 2; }\n";
-        let c1 = repo.commit(a, 1, "v1", vec![write("a.c", v1)]);
-        let c2 = repo.commit(a, 2, "v2", vec![write("a.c", v2)]);
-        let c3 = repo.commit(a, 3, "revert to v1", vec![write("a.c", v1)]);
-
-        let obs = vc_obs::ObsSession::new();
-        let _g = obs.install();
-        let mut cache = SnapshotCache::new();
-        for c in [c1, c2, c3] {
-            analyze_commit_cached(
-                &mut cache,
-                &repo,
-                c,
-                &[],
-                &PruneConfig::default(),
-                &RankConfig::default(),
-            )
-            .unwrap();
-        }
-        // c3's tree is identical to c1's: two builds, one hit.
-        assert_eq!(cache.len(), 2);
-        assert_eq!(
-            obs.registry
-                .counter(vc_obs::names::INCREMENTAL_CACHE_MISSES),
-            2
-        );
-        assert_eq!(
-            obs.registry.counter(vc_obs::names::INCREMENTAL_CACHE_HITS),
-            1
-        );
-        assert_eq!(obs.registry.counter(vc_obs::names::INCREMENTAL_COMMITS), 3);
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
@@ -807,66 +667,6 @@ mod tests {
                 .counter(vc_obs::names::HARDEN_SNAPSHOT_RECOVERED),
             0
         );
-    }
-
-    #[test]
-    fn analyze_commit_stored_persists_findings_across_runs() {
-        let path = temp_path("stored-run");
-        std::fs::remove_file(&path).ok();
-        let mut repo = Repository::new();
-        let alice = repo.add_author("alice");
-        let bob = repo.add_author("bob");
-        repo.commit(
-            alice,
-            1,
-            "init",
-            vec![write("a.c", "void fa(void) {\nint x = 1;\nuse(x);\n}\n")],
-        );
-        let c = repo.commit(
-            bob,
-            2,
-            "rework fa",
-            vec![write(
-                "a.c",
-                "void fa(void) {\nint x = 1;\nx = 2;\nuse(x);\n}\n",
-            )],
-        );
-        let (findings, previous) = analyze_commit_stored(
-            &path,
-            &repo,
-            c,
-            &[],
-            &PruneConfig::default(),
-            &RankConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(findings.findings.len(), 1);
-        assert_eq!(previous, SnapshotStore::default(), "first run is cold");
-        // Second run sees the first run's store.
-        let (_, previous) = analyze_commit_stored(
-            &path,
-            &repo,
-            c,
-            &[],
-            &PruneConfig::default(),
-            &RankConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(previous.commit, Some(c));
-        assert_eq!(previous.findings.len(), 1);
-        assert_eq!(previous.findings[0].variable, "x");
-        assert_eq!(previous.findings[0].file, "a.c");
-        assert_eq!(previous.findings[0].scenario, "overwritten");
-        assert_ne!(
-            previous.findings[0].fingerprint, 0,
-            "stored findings carry a real fingerprint"
-        );
-        assert_eq!(
-            previous.fingerprint_set().len(),
-            1,
-            "the store doubles as a baseline suppression set"
-        );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! budget, and graceful-degradation layer that keeps a run alive on
 //! malformed or pathological input; [`sentinel`] runs detection under a
 //! supervised parallel executor with crash-safe journaled checkpoints
-//! ([`pipeline::run_sentinel`], `vcheck --jobs/--journal/--resume`);
+//! ([`pipeline::run_sentinel`], `vcheck --jobs/--journal/--resume`) —
+//! the one executor behind batch scans, [`serve`] warm scans, and the
+//! incremental mode;
 //! [`delta`] scans two revisions and classifies every finding as
 //! new/fixed/persisting/churned using drift-stable fingerprints
 //! (`vcheck delta --from REV --to REV`); [`history`] replays every commit
@@ -79,7 +81,6 @@ pub use delta::{
     Fingerprint, //
 };
 pub use detect::{
-    detect_function,
     detect_program,
     DetectConfig, //
 };

@@ -12,7 +12,13 @@
 use std::time::Duration;
 
 use vc_dataflow::summary::SigInterner;
-use vc_ir::Program;
+use vc_ir::{
+    program::{
+        BuildError,
+        RecoverStats, //
+    },
+    Program,
+};
 use vc_obs::ObsSession;
 use vc_vcs::Repository;
 
@@ -23,7 +29,8 @@ use crate::{
     },
     detect::{
         detect_program_hardened,
-        DetectConfig, //
+        DetectConfig,
+        DetectOutcome, //
     },
     harden::{
         self,
@@ -46,7 +53,8 @@ use crate::{
     },
     report::Report,
     sentinel::{
-        detect_program_sentinel,
+        detect_program_scoped,
+        ScanScope,
         SentinelConfig, //
     },
 };
@@ -117,6 +125,9 @@ pub struct Analysis {
     pub ranked: Vec<Ranked>,
     /// The rendered report.
     pub report: Report,
+    /// The scan deadline expired: the report is partial and every row is
+    /// low-confidence (`vcheck` exits 3).
+    pub deadline_exceeded: bool,
     /// Stage timings (Table 7).
     pub timings: StageTimings,
     /// The observability session the run recorded into: span trace plus
@@ -154,20 +165,15 @@ pub fn run_with_obs(
 ) -> Analysis {
     let _guard = obs.install();
     let run_span = obs.span("pipeline.run", "pipeline");
-
-    let detect_span = obs.span("stage.detect", "pipeline");
-    let detect_mem = vc_obs::MemScope::enter(vc_obs::alloc::SCOPE_DETECT);
-    let outcome = detect_program_hardened(prog, opts.detect, opts.harden);
-    detect_mem.finish();
-    let detect_time = detect_span.end();
-
-    run_stages(prog, repo, opts, obs, outcome, detect_time, run_span)
+    run_stages(prog, repo, opts, obs, run_span, || {
+        detect_program_hardened(prog, opts.detect, opts.harden)
+    })
 }
 
 /// Runs the pipeline with the sentinel executor driving the detection
-/// stage: `sconf.jobs` supervised workers, optional journal durability, and
-/// `--resume` replay. Everything downstream of detection — and the report
-/// bytes — is identical to [`run_with_obs`].
+/// stage: `sconf.jobs` supervised workers, optional journal durability,
+/// `--resume` replay, and the scan deadline. Everything downstream of
+/// detection — and the report bytes — is identical to [`run_with_obs`].
 pub fn run_sentinel(
     prog: &Program,
     repo: &Repository,
@@ -177,14 +183,42 @@ pub fn run_sentinel(
 ) -> Analysis {
     let _guard = obs.install();
     let run_span = obs.span("pipeline.run", "pipeline");
+    run_scoped(prog, repo, opts, sconf, ScanScope::default(), obs, run_span)
+}
 
-    let detect_span = obs.span("stage.detect", "pipeline");
-    let detect_mem = vc_obs::MemScope::enter(vc_obs::alloc::SCOPE_DETECT);
-    let outcome = detect_program_sentinel(prog, opts.detect, opts.harden, sconf);
-    detect_mem.finish();
-    let detect_time = detect_span.end();
+/// The one production pipeline: the sentinel executor over `scope`, then
+/// the shared stages. Runs inside the caller's open `pipeline.run` span
+/// with `obs` installed — the serve engine opens that span before parsing
+/// so its request trace nests the front end under it.
+pub(crate) fn run_scoped(
+    prog: &Program,
+    repo: &Repository,
+    opts: &Options,
+    sconf: &SentinelConfig,
+    scope: ScanScope<'_>,
+    obs: ObsSession,
+    run_span: vc_obs::Span,
+) -> Analysis {
+    run_stages(prog, repo, opts, obs, run_span, || {
+        detect_program_scoped(prog, opts.detect, opts.harden, sconf, scope)
+    })
+}
 
-    run_stages(prog, repo, opts, obs, outcome, detect_time, run_span)
+/// Counts what the lenient front end lost — `harden.parse_failures` and
+/// the `recover.*` counters — the same way for batch scans and serve
+/// requests.
+pub fn record_front_end(obs: &ObsSession, errors: &[BuildError], stats: &RecoverStats) {
+    use vc_obs::names;
+    for (name, n) in [
+        (names::HARDEN_PARSE_FAILURES, errors.len() as u64),
+        (names::RECOVER_LEX_ERRORS, stats.lex_errors),
+        (names::RECOVER_PARSE_ERRORS, stats.parse_errors),
+        (names::RECOVER_POISONED_STMTS, stats.poisoned_stmts),
+        (names::RECOVER_FUNCTIONS_DROPPED, stats.functions_dropped),
+        (names::RECOVER_FILES_DROPPED, stats.files_dropped),
+    ] {
+        obs.registry.add(name, n);
+    }
 }
 
 /// A pipeline run against one historical revision: the program built from
@@ -227,22 +261,29 @@ pub fn run_at_commit(
     })
 }
 
-/// Everything downstream of detection: authorship, cross-scope filtering,
-/// pruning, ranking, report assembly, and the funnel accounting. Shared by
-/// the sequential and sentinel front halves — and by the serve warm path —
-/// so all produce identical output for identical detection outcomes.
-pub(crate) fn run_stages(
+/// The `stage.detect` span around `detect`, then everything downstream of
+/// detection: authorship, cross-scope filtering, pruning, ranking, report
+/// assembly, and the funnel accounting. Shared by the sequential reference
+/// and the executor, so both produce identical output for identical
+/// detection outcomes.
+fn run_stages(
     prog: &Program,
     repo: &Repository,
     opts: &Options,
     obs: ObsSession,
-    outcome: crate::detect::DetectOutcome,
-    detect_time: Duration,
     run_span: vc_obs::Span,
+    detect: impl FnOnce() -> DetectOutcome,
 ) -> Analysis {
+    let detect_span = obs.span("stage.detect", "pipeline");
+    let detect_mem = vc_obs::MemScope::enter(vc_obs::alloc::SCOPE_DETECT);
+    let outcome = detect();
+    detect_mem.finish();
+    let detect_time = detect_span.end();
+
     let candidates = outcome.candidates;
     let mut summaries = outcome.summaries;
     let mut failures = outcome.failures;
+    let deadline_exceeded = outcome.deadline_exceeded;
     let interner = SigInterner::new(prog);
     let raw_candidates = candidates.len();
 
@@ -382,6 +423,7 @@ pub(crate) fn run_stages(
         failed_candidates,
         ranked,
         report,
+        deadline_exceeded,
         timings: StageTimings {
             detect: detect_time,
             authorship: authorship_time,

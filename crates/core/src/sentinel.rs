@@ -6,14 +6,22 @@
 //! makes the run itself durable and concurrent:
 //!
 //! - **Executor.** The per-function detection loop becomes a work queue of
-//!   [`ScanUnit`]s drained by N worker threads (`vcheck --jobs N`). Each
-//!   unit runs inside the existing `harden` isolation boundary; a
+//!   units (one per function) drained by N worker threads (`vcheck --jobs
+//!   N`). Each unit runs inside the existing `harden` isolation boundary; a
 //!   supervisor loop enforces per-unit deadlines, requeues timed-out and
 //!   panicked units with capped exponential backoff, revives poisoned
 //!   workers, and converts units that exhaust their attempt budget into
 //!   [`FailureRecord`]s. Results merge **deterministically** in unit
 //!   (function-index) order, so report output is byte-identical regardless
-//!   of `--jobs`.
+//!   of `--jobs`. A scan deadline ([`SentinelConfig::deadline`]) stops
+//!   scheduling at expiry: the report keeps what finished, marked
+//!   low-confidence, plus a `deadline exceeded` failure record.
+//! - **Scope.** A [`ScanScope`] says which units a scan need not run: units
+//!   outside its file set (the §8.6 per-commit mode) are not units at all,
+//!   and a [`UnitCache`] hit (the warm `vcheck serve` daemon) resolves
+//!   before scheduling, like a journal-replayed unit but carrying its
+//!   [`FnSummary`]. Every production detection path runs through this one
+//!   executor.
 //! - **Durability.** An append-only journal (`scan.journal`) records each
 //!   unit's completion — candidates or permanent failure — as one
 //!   checksummed record, with batched fsyncs. `vcheck --resume` replays the
@@ -34,7 +42,7 @@
 //! with the replayed units.
 
 use std::{
-    collections::{BTreeMap, HashMap, VecDeque},
+    collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque},
     fs,
     io::{self, Seek as _, Write as _},
     panic::{catch_unwind, AssertUnwindSafe},
@@ -49,6 +57,10 @@ use vc_dataflow::summary::{
     SigInterner, //
 };
 use vc_ir::{
+    ir::{
+        Callee,
+        Inst, //
+    },
     FileId,
     FuncId,
     LineCol,
@@ -122,8 +134,13 @@ pub struct SentinelConfig {
     pub resume: bool,
     /// Extra entropy folded into the journal fingerprint by the caller
     /// (e.g. the preprocessor defines, which change the program but not
-    /// the source bytes).
+    /// the source bytes). The unit-cache keys fold it in too.
     pub fingerprint_salt: u64,
+    /// Scan deadline (`vcheck --deadline-ms`, a serve request's deadline).
+    /// At expiry the executor stops scheduling: queued units are skipped,
+    /// every candidate is marked low-confidence, and a `deadline exceeded`
+    /// failure record is appended. `None` runs to completion.
+    pub deadline: Option<Instant>,
 }
 
 impl Default for SentinelConfig {
@@ -138,6 +155,7 @@ impl Default for SentinelConfig {
             journal: None,
             resume: false,
             fingerprint_salt: 0,
+            deadline: None,
         }
     }
 }
@@ -161,13 +179,6 @@ impl SentinelConfig {
             .saturating_mul(factor)
             .min(self.backoff_cap)
     }
-}
-
-/// One schedulable unit of scan work: a single function's detection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ScanUnit {
-    /// Function index in the program (also the journal unit key).
-    pub unit: usize,
 }
 
 // ---------------------------------------------------------------------------
@@ -207,8 +218,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 // Record encoding
 // ---------------------------------------------------------------------------
 
-/// FNV-1a 64-bit, the workspace's standard content hash.
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit over one field, the workspace's standard content hash
+/// (journal checksums, unit-cache keys, serve tree checksums, finding
+/// fingerprints).
+pub(crate) fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
     let mut h = h;
     for &b in bytes {
         h ^= b as u64;
@@ -219,7 +232,7 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
     h.wrapping_mul(0x0000_0100_0000_01B3)
 }
 
-const FNV_SEED: u64 = 0xCBF2_9CE4_8422_2325;
+pub(crate) const FNV_SEED: u64 = 0xCBF2_9CE4_8422_2325;
 
 /// Escapes a string for the tab/`|`/`,`-delimited journal grammar.
 fn esc(s: &str) -> String {
@@ -786,6 +799,116 @@ pub fn salt_strings(items: &[String]) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
+// Scan scope and unit cache
+// ---------------------------------------------------------------------------
+
+/// Which units a scan runs and what it may reuse. The default scans every
+/// function with nothing cached.
+#[derive(Debug, Default)]
+pub(crate) struct ScanScope<'a> {
+    /// Detect only the functions defined in these files (the §8.6
+    /// per-commit mode); `None` scans every function.
+    pub(crate) files: Option<&'a BTreeSet<FileId>>,
+    /// Results of earlier scans: a hit resolves its unit before scheduling,
+    /// fresh results are stored, and entries no unit used are swept.
+    pub(crate) cache: Option<&'a mut UnitCache>,
+    /// Function names that run even on a cache hit (serve's dirty closure:
+    /// belt and braces against key-collision bugs).
+    pub(crate) rerun: Option<&'a HashSet<String>>,
+}
+
+/// One cached per-function result. Only clean units are cached: poisoned
+/// functions re-run on every scan so their failure records keep appearing,
+/// and deadline-skipped functions were never analyzed at all.
+#[derive(Debug)]
+struct CachedUnit {
+    candidates: Vec<Candidate>,
+    exhausted: bool,
+    summary: FnSummary,
+}
+
+/// Content-keyed per-function detection results carried from one scan to
+/// the next (the warm `vcheck serve` daemon). A key binds everything that
+/// can change a function's analysis: file position, name and bytes,
+/// function name and ordinal within its file, the function's pointer
+/// fingerprint, and a salt over the detect/harden configuration and
+/// [`SentinelConfig::fingerprint_salt`] (the defines). A stale entry is
+/// therefore unreachable rather than wrong.
+#[derive(Debug, Default)]
+pub(crate) struct UnitCache {
+    units: HashMap<u64, CachedUnit>,
+    /// Units the last scan resolved from the cache.
+    pub(crate) hits: u64,
+    /// Units the last scan had to schedule.
+    pub(crate) misses: u64,
+    /// Entries the last scan dropped because no unit used them.
+    pub(crate) swept: u64,
+}
+
+/// The part of the pointer analysis one function's detection can observe:
+/// how its indirect calls resolve, and whether the demand solves degraded.
+/// Two scans whose pointer analyses agree on this fingerprint give the
+/// function byte-identical candidates. Functions with no indirect calls
+/// cannot observe the pointer stage at all (the precise aliased-read set
+/// is subsumed by the content-derived escape set), so they hash to a
+/// constant and never force a component solve.
+fn pointer_fingerprint(fid: FuncId, f: &vc_ir::Function, oracle: Option<&DemandPointer>) -> u64 {
+    let mut h = FNV_SEED;
+    let mut any = false;
+    for inst in f.blocks.iter().flat_map(|bb| &bb.insts) {
+        if let Inst::Call {
+            callee: Callee::Indirect(t),
+            ..
+        } = inst
+        {
+            any = true;
+            h = fnv1a(h, &t.0.to_le_bytes());
+            for n in oracle
+                .map(|o| o.resolve_fn_ptr(fid, *t))
+                .unwrap_or_default()
+            {
+                h = fnv1a(h, n.as_bytes());
+            }
+        }
+    }
+    if !any {
+        return fnv1a(h, &[0]);
+    }
+    let degraded = oracle.is_some_and(|o| o.degraded());
+    fnv1a(h, &[1, oracle.is_some() as u8, degraded as u8])
+}
+
+/// The cache key of every function (see [`UnitCache`]). File hashes are
+/// computed once per file, not once per function.
+fn unit_keys(
+    prog: &Program,
+    oracle: Option<&DemandPointer>,
+    config: DetectConfig,
+    hconf: &HardenConfig,
+    salt: u64,
+) -> Vec<u64> {
+    let mut base = fnv1a(FNV_SEED, format!("{config:?}").as_bytes());
+    base = fnv1a(base, format!("{hconf:?}").as_bytes());
+    base = fnv1a(base, &salt.to_le_bytes());
+    let mut files: HashMap<FileId, (u64, u32)> = HashMap::new();
+    let mut keys = Vec::with_capacity(prog.funcs.len());
+    for (i, f) in prog.funcs.iter().enumerate() {
+        let (file_hash, ordinal) = files.entry(f.file).or_insert_with(|| {
+            let mut h = fnv1a(base, &f.file.0.to_le_bytes());
+            h = fnv1a(h, prog.source.name(f.file).as_bytes());
+            let content = prog.source.file(f.file).map_or("", |s| s.content.as_str());
+            (fnv1a(h, content.as_bytes()), 0)
+        });
+        let mut h = fnv1a(*file_hash, f.name.as_bytes());
+        h = fnv1a(h, &ordinal.to_le_bytes());
+        *ordinal += 1;
+        let pf = pointer_fingerprint(FuncId(i as u32), f, oracle);
+        keys.push(fnv1a(h, &pf.to_le_bytes()));
+    }
+    keys
+}
+
+// ---------------------------------------------------------------------------
 // Executor
 // ---------------------------------------------------------------------------
 
@@ -825,6 +948,8 @@ struct ExecState {
     in_flight: HashMap<usize, Running>,
     outcomes: BTreeMap<usize, UnitOutcome>,
     remaining: usize,
+    /// Units dropped unscanned when the scan deadline expired.
+    skipped: usize,
     shutdown: bool,
 }
 
@@ -867,11 +992,37 @@ impl Shared<'_> {
             let _ = lock(j).append(&rec);
         }
         state.outcomes.insert(unit, outcome);
-        state.remaining -= 1;
+        self.count_down(state, 1);
+    }
+
+    /// `n` units are settled; the last one shuts the executor down.
+    fn count_down(&self, state: &mut ExecState, n: usize) {
+        state.remaining -= n;
         if state.remaining == 0 {
             state.shutdown = true;
             self.cv.notify_all();
         }
+    }
+
+    /// Once the scan deadline has passed, drops every queued unit
+    /// unscanned; in-flight units still finish. Called under the state
+    /// lock.
+    fn expire_if_late(&self, state: &mut ExecState) {
+        let late = self.sconf.deadline.is_some_and(|d| Instant::now() >= d);
+        let queued = state.ready.len() + state.delayed.len();
+        if late && queued > 0 {
+            state.ready.clear();
+            state.delayed.clear();
+            state.skipped += queued;
+            self.count_down(state, queued);
+        }
+    }
+
+    /// Fail-fast: stops the supervisor and every worker so a panic that
+    /// escaped the (disabled) isolation boundary can leave the scope.
+    fn abort(&self) {
+        lock(&self.state).shutdown = true;
+        self.cv.notify_all();
     }
 
     /// A unit attempt failed (panic, deadline, or dead worker): requeue it
@@ -938,6 +1089,10 @@ fn worker_loop(shared: &Shared<'_>, worker: usize) {
         let task = {
             let mut state = lock(&shared.state);
             loop {
+                if state.shutdown {
+                    return;
+                }
+                shared.expire_if_late(&mut state);
                 if let Some(task) = state.ready.pop_front() {
                     state.in_flight.insert(
                         task.unit,
@@ -949,20 +1104,13 @@ fn worker_loop(shared: &Shared<'_>, worker: usize) {
                     );
                     break task;
                 }
-                if state.shutdown {
-                    return;
-                }
                 // The timeout doubles as the supervisor-less wakeup for
                 // delayed (backoff) tasks.
-                let (next, _) = shared
+                state = shared
                     .cv
                     .wait_timeout(state, Duration::from_millis(1))
-                    .map(|(g, t)| (g, t))
-                    .unwrap_or_else(|e| {
-                        let (g, t) = e.into_inner();
-                        (g, t)
-                    });
-                state = next;
+                    .unwrap_or_else(|e| e.into_inner())
+                    .0;
                 promote_delayed(&mut state);
             }
         };
@@ -1049,11 +1197,6 @@ fn supervise(shared: &Shared<'_>) {
     loop {
         {
             let mut state = lock(&shared.state);
-            if state.remaining == 0 {
-                state.shutdown = true;
-                shared.cv.notify_all();
-                return;
-            }
             promote_delayed(&mut state);
             if let Some(deadline) = shared.sconf.unit_deadline {
                 let late: Vec<(usize, u32)> = state
@@ -1068,8 +1211,14 @@ fn supervise(shared: &Shared<'_>) {
                     state.in_flight.remove(&unit);
                     vc_obs::counter_inc(vc_obs::names::SENTINEL_REQUEUES);
                     vc_obs::counter_inc(vc_obs::names::SENTINEL_DEADLINE_TIMEOUTS);
-                    self_retry(shared, &mut state, unit, attempt, deadline);
+                    let message = format!("unit deadline exceeded ({} ms)", deadline.as_millis());
+                    shared.retry_or_fail(&mut state, unit, attempt, message);
                 }
+            }
+            shared.expire_if_late(&mut state);
+            if state.shutdown {
+                shared.cv.notify_all();
+                return;
             }
             if !state.ready.is_empty() {
                 shared.cv.notify_all();
@@ -1079,22 +1228,7 @@ fn supervise(shared: &Shared<'_>) {
     }
 }
 
-fn self_retry(
-    shared: &Shared<'_>,
-    state: &mut ExecState,
-    unit: usize,
-    attempt: u32,
-    deadline: Duration,
-) {
-    shared.retry_or_fail(
-        state,
-        unit,
-        attempt,
-        format!("unit deadline exceeded ({} ms)", deadline.as_millis()),
-    );
-}
-
-/// Runs the supervised parallel detection scan.
+/// Runs the supervised parallel detection scan over every function.
 ///
 /// This is the parallel, durable sibling of
 /// [`detect_program_hardened`](crate::detect::detect_program_hardened):
@@ -1107,9 +1241,29 @@ pub fn detect_program_sentinel(
     hconf: HardenConfig,
     sconf: &SentinelConfig,
 ) -> DetectOutcome {
+    detect_program_scoped(prog, config, hconf, sconf, ScanScope::default())
+}
+
+/// [`detect_program_sentinel`] over a [`ScanScope`]: only in-scope units
+/// exist, journal-replayed and cached units resolve before scheduling, and
+/// the rest run on the workers. The merge is in unit order either way, so
+/// a warm scan is byte-identical to a cold one.
+pub(crate) fn detect_program_scoped(
+    prog: &Program,
+    config: DetectConfig,
+    hconf: HardenConfig,
+    sconf: &SentinelConfig,
+    scope: ScanScope<'_>,
+) -> DetectOutcome {
     let mut out = DetectOutcome::default();
-    vc_obs::counter_add(vc_obs::names::DETECT_FUNCTIONS, prog.funcs.len() as u64);
-    let total = prog.funcs.len();
+    let in_scope = |u: usize| {
+        scope
+            .files
+            .is_none_or(|fs| fs.contains(&prog.funcs[u].file))
+    };
+    let units: Vec<usize> = (0..prog.funcs.len()).filter(|&u| in_scope(u)).collect();
+    let total = units.len();
+    vc_obs::counter_add(vc_obs::names::DETECT_FUNCTIONS, total as u64);
     vc_obs::counter_add(vc_obs::names::SENTINEL_UNITS, total as u64);
 
     // Demand pointer oracle: partitioned once, single-threaded, before any
@@ -1145,13 +1299,13 @@ pub fn detect_program_sentinel(
                     vc_obs::counter_inc(vc_obs::names::SENTINEL_JOURNAL_DISCARDED);
                     JournalWriter::create(path, fingerprint)
                 } else {
-                    // Ignore replayed units beyond the current unit range
+                    // Ignore replayed units outside the current unit set
                     // (belt and braces; the fingerprint already rules this
                     // out).
                     replayed = replay
                         .completed
                         .into_iter()
-                        .filter(|(u, _)| *u < total)
+                        .filter(|(u, _)| *u < prog.funcs.len() && in_scope(*u))
                         .collect();
                     JournalWriter::reopen(path, replay.valid_bytes, replayed.len())
                 }
@@ -1171,19 +1325,62 @@ pub fn detect_program_sentinel(
         vc_obs::names::SENTINEL_UNITS_REPLAYED,
         replayed.len() as u64,
     );
-    vc_obs::counter_add(
-        vc_obs::names::SENTINEL_UNITS_SCANNED,
-        (total - replayed.len()) as u64,
-    );
 
-    // Queue every unit not already checkpointed, in unit order.
+    // Queue every unit not already resolved, in unit order. A cache hit is
+    // resolved here, like a replayed unit, but carries its summary; rebind
+    // it — the function's global id may have shifted when other files
+    // gained or lost functions, while its file, spans, and locals are
+    // pinned by the key.
+    let (mut cache, rerun) = (scope.cache, scope.rerun);
+    let keys = cache.as_ref().map(|_| {
+        unit_keys(
+            prog,
+            oracle.as_ref(),
+            config,
+            &hconf,
+            sconf.fingerprint_salt,
+        )
+    });
+    let mut next_cache: HashMap<u64, CachedUnit> = HashMap::new();
+    let mut merged: BTreeMap<usize, UnitOutcome> = BTreeMap::new();
     let mut state = ExecState::default();
-    for unit in 0..total {
-        if !replayed.contains_key(&unit) {
+    for &unit in units.iter().filter(|u| !replayed.contains_key(u)) {
+        let fid = FuncId(unit as u32);
+        let dirty = rerun.is_some_and(|r| r.contains(&prog.func(fid).name));
+        let key = keys.as_ref().map(|k| k[unit]).filter(|_| !dirty);
+        let hit = key
+            .zip(cache.as_deref_mut())
+            .and_then(|(k, c)| c.units.remove(&k));
+        let (Some(key), Some(hit)) = (key, hit) else {
             state.ready.push_back(Task { unit, attempt: 0 });
-        }
+            continue;
+        };
+        vc_obs::counter_inc(vc_obs::names::SUMMARY_REUSED);
+        let mut summary = hit.summary.clone();
+        summary.sig = interner.sig_of(fid);
+        let candidates = hit.candidates.iter().map(|c| Candidate {
+            func: fid,
+            ..c.clone()
+        });
+        merged.insert(
+            unit,
+            UnitOutcome::Ok {
+                candidates: candidates.collect(),
+                exhausted: hit.exhausted,
+                summary: Some(summary),
+            },
+        );
+        next_cache.insert(key, hit);
     }
     state.remaining = state.ready.len();
+    vc_obs::counter_add(
+        vc_obs::names::SENTINEL_UNITS_SCANNED,
+        state.remaining as u64,
+    );
+    if let Some(cache) = cache.as_deref_mut() {
+        cache.hits = merged.len() as u64;
+        cache.misses = state.remaining as u64;
+    }
 
     let shared = Shared {
         prog,
@@ -1198,42 +1395,60 @@ pub fn detect_program_sentinel(
         failplan: FailpointPlan::current(),
     };
 
-    if lock(&shared.state).remaining > 0 {
-        let jobs = sconf.effective_jobs().clamp(1, total.max(1));
+    // A deadline that has already passed schedules nothing.
+    let remaining = {
+        let mut state = lock(&shared.state);
+        shared.expire_if_late(&mut state);
+        state.remaining
+    };
+    if remaining > 0 {
+        let jobs = sconf.effective_jobs().clamp(1, remaining);
         thread::scope(|scope| {
-            for worker in 0..jobs {
-                let shared = &shared;
-                scope.spawn(move || {
-                    let _obs = shared.obs.install();
-                    let _fp = shared.failplan.install();
-                    // Incarnation wrapper: a panic that escapes the unit
-                    // isolation boundary poisons the worker; revive it and
-                    // requeue whatever it was running.
-                    loop {
-                        match catch_unwind(AssertUnwindSafe(|| worker_loop(shared, worker))) {
-                            Ok(()) => break,
-                            Err(payload) => {
-                                if !shared.hconf.isolate {
-                                    std::panic::resume_unwind(payload);
+            let workers: Vec<_> = (0..jobs)
+                .map(|worker| {
+                    let shared = &shared;
+                    scope.spawn(move || {
+                        let _obs = shared.obs.install();
+                        let _fp = shared.failplan.install();
+                        // Incarnation wrapper: a panic that escapes the unit
+                        // isolation boundary poisons the worker; revive it
+                        // and requeue whatever it was running. Under
+                        // fail-fast the panic ends the whole scan instead.
+                        loop {
+                            match catch_unwind(AssertUnwindSafe(|| worker_loop(shared, worker))) {
+                                Ok(()) => break,
+                                Err(payload) => {
+                                    if !shared.hconf.isolate {
+                                        shared.abort();
+                                        std::panic::resume_unwind(payload);
+                                    }
+                                    vc_obs::counter_inc(vc_obs::names::SENTINEL_WORKER_REPLACED);
+                                    let msg = harden::panic_message(payload);
+                                    shared.reap_worker(worker, &msg);
                                 }
-                                vc_obs::counter_inc(vc_obs::names::SENTINEL_WORKER_REPLACED);
-                                let msg = harden::panic_message(payload);
-                                shared.reap_worker(worker, &msg);
                             }
                         }
-                    }
-                });
-            }
+                    })
+                })
+                .collect();
             supervise(&shared);
+            for worker in workers {
+                if let Err(payload) = worker.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
         });
     }
 
-    // Deterministic merge: journal-replayed and freshly-scanned units
-    // interleave in unit (function-index) order, which is exactly the
+    // Deterministic merge: journal-replayed, cached and freshly-scanned
+    // units interleave in unit (function-index) order, which is exactly the
     // sequential loop's order — the report is byte-identical for any
-    // worker count and any resume point.
-    let outcomes = std::mem::take(&mut lock(&shared.state).outcomes);
-    let mut merged: BTreeMap<usize, UnitOutcome> = outcomes;
+    // worker count, any resume point, and any cache state.
+    let (outcomes, skipped) = {
+        let mut state = lock(&shared.state);
+        (std::mem::take(&mut state.outcomes), state.skipped)
+    };
+    merged.extend(outcomes);
     for (unit, rec) in replayed {
         let outcome = match rec {
             UnitRecord::Ok {
@@ -1261,12 +1476,44 @@ pub fn detect_program_sentinel(
                     vc_obs::counter_inc(vc_obs::names::HARDEN_DEGRADED_LIVENESS);
                 }
                 if let Some(s) = summary {
+                    if let Some(keys) = &keys {
+                        next_cache.entry(keys[unit]).or_insert_with(|| CachedUnit {
+                            candidates: candidates.clone(),
+                            exhausted,
+                            summary: s.clone(),
+                        });
+                    }
                     out.summaries.insert(FuncId(unit as u32), s);
                 }
                 out.candidates.extend(candidates);
             }
             UnitOutcome::Fail(failure) => out.failures.push(failure),
         }
+    }
+    // Generational sweep: entries no unit of this scan used die.
+    if let Some(cache) = cache {
+        cache.swept = cache
+            .units
+            .keys()
+            .filter(|k| !next_cache.contains_key(k))
+            .count() as u64;
+        cache.units = next_cache;
+    }
+    if skipped > 0 {
+        out.deadline_exceeded = true;
+        for c in &mut out.candidates {
+            c.low_confidence = true;
+        }
+        out.failures.push(FailureRecord {
+            stage: FailStage::Detect,
+            file: "<scan>".to_string(),
+            function: None,
+            message: format!(
+                "deadline exceeded after {} of {total} functions; remaining functions skipped \
+                 and all findings marked low-confidence",
+                total - skipped
+            ),
+        });
     }
     if let Some(j) = &shared.journal {
         let _ = lock(j).sync();
@@ -1547,6 +1794,33 @@ mod tests {
                 &sconf(8)
             )
         );
+    }
+
+    #[test]
+    fn fail_fast_panic_escapes_instead_of_hanging() {
+        // With isolation off a unit panic used to strand the unit in flight
+        // and the supervisor polled forever.
+        for jobs in [1, 2] {
+            let _fp = harden::arm_failpoint(FailStage::Detect, "g");
+            let plan = FailpointPlan::current();
+            let (tx, rx) = std::sync::mpsc::channel();
+            thread::spawn(move || {
+                let _fp = plan.install();
+                let hconf = HardenConfig {
+                    isolate: false,
+                    ..HardenConfig::default()
+                };
+                let run = catch_unwind(AssertUnwindSafe(|| {
+                    detect_program_sentinel(&prog(), DetectConfig::default(), hconf, &sconf(jobs))
+                }));
+                let _ = tx.send(run.map_err(harden::panic_message));
+            });
+            let result = rx
+                .recv_timeout(Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("jobs={jobs}: fail-fast scan hung"));
+            let message = result.expect_err("the panic must propagate");
+            assert!(message.contains("injected fault"), "jobs={jobs}: {message}");
+        }
     }
 
     #[test]

@@ -27,9 +27,10 @@
 //!
 //! ## Robustness (the degradation ladder)
 //!
-//! - **Deadline**: when a request's wall-clock deadline expires mid-scan,
-//!   the remaining functions are skipped, every reported finding is marked
-//!   `low_confidence`, a `deadline_exceeded` failure record is appended,
+//! - **Deadline**: the request's wall-clock deadline becomes the sentinel
+//!   executor's scan deadline. At expiry it stops scheduling, the remaining
+//!   functions are skipped, every reported finding is marked
+//!   `low_confidence`, a `deadline exceeded` failure record is appended,
 //!   and the reply says `"deadline_exceeded": true` — the daemon never
 //!   hangs a request.
 //! - **Shed**: the reader thread enqueues at most `queue_depth` pending
@@ -45,15 +46,17 @@
 //!
 //! ## Warm-state invalidation
 //!
+//! Detection runs on the same [`sentinel`](crate::sentinel) executor as a
+//! batch scan, with the daemon's long-lived [`UnitCache`] in its scope.
 //! Unit-cache keys bind the *content*: file position, file name, file
 //! bytes, function name and ordinal, the function's pointer fingerprint
 //! (resolved indirect callees + degradation flag — a constant for the
 //! common function with no indirect calls, so no pointer component is
 //! solved on its behalf), the preprocessor defines, and the detect/harden
-//! configuration. Each cached unit carries the function's [`FnSummary`]
-//! alongside its candidates, so a warm hit hands the prune stage its
-//! summary without rebuilding dataflow facts (counted under
-//! `summary.reused`).
+//! configuration. A hit resolves its unit before anything is scheduled and
+//! carries the function's summary alongside its candidates, so the prune
+//! stage does not rebuild dataflow facts (counted under `summary.reused`);
+//! only misses run on executor workers.
 //! Any input that could change a function's analysis changes its key, so
 //! a stale entry is unreachable rather than wrong. On top of the keys,
 //! the dirty closure (functions in changed files, plus callers and
@@ -91,7 +94,6 @@ use std::{
     time::{Duration, Instant},
 };
 
-use vc_dataflow::summary::{FnSummary, SigInterner};
 use vc_ir::{
     ir::Callee,
     program::ParseCache,
@@ -100,17 +102,15 @@ use vc_ir::{
     Program, //
 };
 use vc_obs::{Json, ObsSession};
-use vc_pointer::demand::DemandPointer;
 
 use crate::{
-    candidate::Candidate,
     delta::{fingerprint_ranked, Finding},
-    detect::{demand_oracle, detect_unit, finalize_pointer_stage, DetectOutcome},
     eventlog::{now_ms, EventLog},
     harden::{self, FailStage, FailureRecord},
     incremental::SnapshotStore,
-    pipeline::{run_stages, Options},
+    pipeline::{record_front_end, run_scoped, Options},
     project::{load_dir_or_empty, Project},
+    sentinel::{fnv1a, salt_strings, ScanScope, SentinelConfig, UnitCache, FNV_SEED},
 };
 
 /// Daemon configuration.
@@ -155,19 +155,6 @@ impl Default for ServeConfig {
             event_log_max_bytes: 0,
         }
     }
-}
-
-/// One cached per-function detection result. Only clean units are cached:
-/// poisoned (panicking) functions re-run on every request so their failure
-/// records keep appearing, and deadline-skipped functions were never
-/// analyzed at all.
-#[derive(Clone, Debug)]
-struct CachedUnit {
-    candidates: Vec<Candidate>,
-    exhausted: bool,
-    /// The function's dataflow summary, reused by the prune stage on a
-    /// warm hit instead of re-solving liveness/defs (`summary.reused`).
-    summary: FnSummary,
 }
 
 /// Warm state carried between requests.
@@ -215,59 +202,13 @@ pub struct ScanResponse {
     pub pruned: usize,
 }
 
-const FNV_SEED: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv1a_field(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    (h ^ 0xFF).wrapping_mul(FNV_PRIME)
-}
-
 fn tree_checksum(sources: &[(String, String)]) -> u64 {
     let mut h = FNV_SEED;
     for (name, content) in sources {
-        h = fnv1a_field(h, name.as_bytes());
-        h = fnv1a_field(h, content.as_bytes());
+        h = fnv1a(h, name.as_bytes());
+        h = fnv1a(h, content.as_bytes());
     }
     h
-}
-
-/// The part of the pointer analysis one function's detection can observe:
-/// how its indirect calls resolve, and whether the demand solves degraded.
-/// Two requests whose pointer analyses agree on this fingerprint give the
-/// function byte-identical candidates. Functions with no indirect calls
-/// cannot observe the pointer stage at all (the precise aliased-read set
-/// is subsumed by the content-derived escape set), so they hash to a
-/// constant and never force a component solve.
-fn pointer_fingerprint(fid: FuncId, f: &vc_ir::Function, oracle: Option<&DemandPointer>) -> u64 {
-    let mut h = FNV_SEED;
-    let mut any = false;
-    for bb in &f.blocks {
-        for inst in &bb.insts {
-            if let vc_ir::ir::Inst::Call {
-                callee: Callee::Indirect(t),
-                ..
-            } = inst
-            {
-                any = true;
-                let names = match oracle {
-                    Some(o) => o.resolve_fn_ptr(fid, *t),
-                    None => Vec::new(),
-                };
-                h = fnv1a_field(h, &t.0.to_le_bytes());
-                for n in &names {
-                    h = fnv1a_field(h, n.as_bytes());
-                }
-            }
-        }
-    }
-    if !any {
-        return fnv1a_field(h, &[0]);
-    }
-    let degraded = oracle.map(|o| o.degraded()).unwrap_or(false);
-    fnv1a_field(h, &[1, oracle.is_some() as u8, degraded as u8])
 }
 
 /// The warm scan engine: everything `vcheck serve` does to a request,
@@ -281,7 +222,7 @@ pub struct ServeEngine {
     /// here across requests.
     obs: ObsSession,
     parse_cache: ParseCache,
-    units: HashMap<u64, CachedUnit>,
+    units: UnitCache,
     warm: Option<Warm>,
     /// Fingerprinted findings of the previous successful reply.
     prev: Option<Vec<Finding>>,
@@ -298,11 +239,13 @@ pub struct ServeEngine {
 
 impl ServeEngine {
     /// Creates an engine for `dir`. Fails (daemon startup error, exit 2)
-    /// when the directory cannot be read at all.
+    /// when the directory cannot be read at all. Nothing is loaded yet: a
+    /// bad `history.json` gets an error reply per request, whether it was
+    /// bad at startup or went bad later.
     pub fn new(dir: &Path, config: ServeConfig) -> io::Result<ServeEngine> {
-        // Probe the tree once so a bad path is a startup error, not a
+        // Probe the directory so a bad path is a startup error, not a
         // per-request error loop.
-        load_dir_or_empty(dir)?;
+        std::fs::read_dir(dir)?;
         let event_log = config
             .event_log
             .as_ref()
@@ -312,7 +255,7 @@ impl ServeEngine {
             config,
             obs: ObsSession::new(),
             parse_cache: ParseCache::default(),
-            units: HashMap::new(),
+            units: UnitCache::default(),
             warm: None,
             prev: None,
             panic_seqs: HashSet::new(),
@@ -330,7 +273,7 @@ impl ServeEngine {
     /// Poisons all warm state: the next request rebuilds cold.
     pub fn quarantine(&mut self) {
         self.parse_cache.clear();
-        self.units.clear();
+        self.units = UnitCache::default();
         self.warm = None;
         self.obs
             .registry
@@ -355,7 +298,6 @@ impl ServeEngine {
 
         let project = load_dir_or_empty(&self.dir)?;
         let refs = project.source_refs();
-        let opts = self.config.opts;
         let obs = self.obs.clone();
         let _guard = obs.install();
         let run_span = obs.span("pipeline.run", "pipeline");
@@ -367,22 +309,7 @@ impl ServeEngine {
             Program::build_recovering_cached(&refs, &self.config.defines, &mut self.parse_cache);
         parse_mem.finish();
         parse_span.end();
-        obs.registry.add(
-            vc_obs::names::HARDEN_PARSE_FAILURES,
-            parse_errors.len() as u64,
-        );
-        obs.registry
-            .add(vc_obs::names::RECOVER_LEX_ERRORS, stats.lex_errors);
-        obs.registry
-            .add(vc_obs::names::RECOVER_PARSE_ERRORS, stats.parse_errors);
-        obs.registry
-            .add(vc_obs::names::RECOVER_POISONED_STMTS, stats.poisoned_stmts);
-        obs.registry.add(
-            vc_obs::names::RECOVER_FUNCTIONS_DROPPED,
-            stats.functions_dropped,
-        );
-        obs.registry
-            .add(vc_obs::names::RECOVER_FILES_DROPPED, stats.files_dropped);
+        record_front_end(&obs, &parse_errors, &stats);
 
         // --- Dirty closure: changed files, plus callers/callees of their
         // functions by name. Everything in it re-runs unconditionally
@@ -392,18 +319,41 @@ impl ServeEngine {
         let dirty = self.dirty_closure(&prog, &project);
         dirty_span.end();
 
-        // --- Detection (warm): pointer stage fresh, units cached. ---
-        let detect_span = obs.span("stage.detect", "pipeline");
-        let detect_mem = vc_obs::MemScope::enter(vc_obs::alloc::SCOPE_DETECT);
-        let (outcome, deadline_exceeded, unit_hits, unit_misses) =
-            self.detect_warm(&prog, &dirty, deadline);
-        detect_mem.finish();
-        let detect_time = detect_span.end();
-
+        // --- Detection and back end: the executor resolves cached units
+        // before scheduling the misses, then the stages shared with batch
+        // scan run — byte-for-byte the same report. ---
+        let sconf = SentinelConfig {
+            fingerprint_salt: salt_strings(&self.config.defines),
+            deadline,
+            ..SentinelConfig::default()
+        };
+        let scope = ScanScope {
+            cache: Some(&mut self.units),
+            rerun: Some(&dirty),
+            files: None,
+        };
+        let mut analysis = run_scoped(
+            &prog,
+            &project.repo,
+            &self.config.opts,
+            &sconf,
+            scope,
+            obs.clone(),
+            run_span,
+        );
+        let (unit_hits, unit_misses) = (self.units.hits, self.units.misses);
+        let deadline_exceeded = analysis.deadline_exceeded;
+        let reg = &obs.registry;
+        reg.add(vc_obs::names::SERVE_UNIT_HITS, unit_hits);
+        reg.add(vc_obs::names::SERVE_UNIT_MISSES, unit_misses);
+        reg.add(vc_obs::names::SERVE_UNITS_SWEPT, self.units.swept);
+        if deadline_exceeded {
+            reg.add(vc_obs::names::SERVE_DEADLINE_EXCEEDED, 1);
+        }
         // Cache-effectiveness gauges: how much of the tree the warm state
         // actually saved this request.
         let lookups = unit_hits + unit_misses;
-        obs.registry.set_gauge(
+        reg.set_gauge(
             vc_obs::names::SERVE_WARM_HIT_RATE,
             if lookups == 0 {
                 0.0
@@ -411,32 +361,16 @@ impl ServeEngine {
                 unit_hits as f64 / lookups as f64
             },
         );
-        obs.registry.set_gauge(
+        reg.set_gauge(
             vc_obs::names::SERVE_DIRTY_RATIO,
             // `dirty` holds names (possibly including undefined externals
             // named at call sites), so clamp into [0, 1].
             (dirty.len() as f64 / prog.funcs.len().max(1) as f64).min(1.0),
         );
-
-        // --- Back end: shared with batch scan, byte-for-byte. ---
-        let mut analysis = run_stages(
-            &prog,
-            &project.repo,
-            &opts,
-            obs.clone(),
-            outcome,
-            detect_time,
-            run_span,
-        );
         // Front-end failures splice ahead, mirroring `vcheck scan`.
         let front: Vec<FailureRecord> = parse_errors
             .iter()
-            .map(|e| FailureRecord {
-                stage: FailStage::Parse,
-                file: e.file().to_string(),
-                function: e.function().map(str::to_string),
-                message: e.to_string(),
-            })
+            .map(FailureRecord::from_build_error)
             .collect();
         analysis.report.failures.splice(0..0, front);
 
@@ -549,171 +483,6 @@ impl ServeEngine {
             }
         }
         dirty
-    }
-
-    /// The warm detection pass: the demand pointer oracle is partitioned
-    /// fresh (components solve lazily, only when an indirect call's
-    /// fingerprint or detection needs them), per-function results come
-    /// from the unit cache when clean and not dirty. Mirrors
-    /// `detect_program_hardened` exactly on a cold cache.
-    fn detect_warm(
-        &mut self,
-        prog: &Program,
-        dirty: &HashSet<String>,
-        deadline: Option<Instant>,
-    ) -> (DetectOutcome, bool, u64, u64) {
-        let opts = &self.config.opts;
-        let hconf = opts.harden;
-        let mut out = DetectOutcome::default();
-        let oracle = demand_oracle(prog, opts.detect, hconf);
-        let interner = SigInterner::new(prog);
-        let config_salt = {
-            let mut h = FNV_SEED;
-            h = fnv1a_field(h, format!("{:?}", opts.detect).as_bytes());
-            h = fnv1a_field(h, format!("{:?}", hconf).as_bytes());
-            for d in &self.config.defines {
-                h = fnv1a_field(h, d.as_bytes());
-            }
-            h
-        };
-
-        vc_obs::counter_add(vc_obs::names::DETECT_FUNCTIONS, prog.funcs.len() as u64);
-        // Per-file content hashes, computed once: the unit key must bind
-        // the file's bytes, but hashing the whole file again for every
-        // function in it would make the warm loop O(functions x bytes).
-        let mut file_hash: HashMap<FileId, u64> = HashMap::new();
-        let mut next_units: HashMap<u64, CachedUnit> = HashMap::new();
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut deadline_exceeded = false;
-        // Ordinal of each function within its file, so two same-named
-        // (static) functions in one file get distinct unit keys.
-        let mut file_ordinal: HashMap<FileId, u32> = HashMap::new();
-
-        for fi in 0..prog.funcs.len() {
-            let fid = FuncId(fi as u32);
-            let f = prog.func(fid);
-            let ordinal = {
-                let slot = file_ordinal.entry(f.file).or_insert(0);
-                let o = *slot;
-                *slot += 1;
-                o
-            };
-            if let Some(dl) = deadline {
-                if Instant::now() >= dl {
-                    deadline_exceeded = true;
-                    vc_obs::counter_inc(vc_obs::names::SERVE_DEADLINE_EXCEEDED);
-                    out.failures.push(FailureRecord {
-                        stage: FailStage::Detect,
-                        file: "<serve>".to_string(),
-                        function: None,
-                        message: format!(
-                            "deadline exceeded after {fi} of {} functions; remaining functions \
-                             skipped and all findings marked low-confidence",
-                            prog.funcs.len()
-                        ),
-                    });
-                    break;
-                }
-            }
-            let pf = pointer_fingerprint(fid, f, oracle.as_ref());
-            let key = {
-                let mut h = config_salt;
-                h = fnv1a_field(h, &f.file.0.to_le_bytes());
-                h = fnv1a_field(h, prog.source.name(f.file).as_bytes());
-                let ch = *file_hash.entry(f.file).or_insert_with(|| {
-                    let content = prog
-                        .source
-                        .file(f.file)
-                        .map(|s| s.content.as_str())
-                        .unwrap_or("");
-                    fnv1a_field(FNV_SEED, content.as_bytes())
-                });
-                h = fnv1a_field(h, &ch.to_le_bytes());
-                h = fnv1a_field(h, f.name.as_bytes());
-                h = fnv1a_field(h, &ordinal.to_le_bytes());
-                fnv1a_field(h, &pf.to_le_bytes())
-            };
-            if !dirty.contains(&f.name) {
-                if let Some(unit) = self.units.get(&key) {
-                    hits += 1;
-                    vc_obs::counter_inc(vc_obs::names::SERVE_UNIT_HITS);
-                    vc_obs::counter_inc(vc_obs::names::SUMMARY_REUSED);
-                    if unit.exhausted {
-                        out.liveness_degraded += 1;
-                        vc_obs::counter_inc(vc_obs::names::HARDEN_DEGRADED_LIVENESS);
-                    }
-                    // Rebind: the function's global id may have shifted
-                    // when other files gained or lost functions; its file,
-                    // spans, and locals are pinned by the key.
-                    out.candidates.extend(unit.candidates.iter().map(|c| {
-                        let mut c = c.clone();
-                        c.func = fid;
-                        c
-                    }));
-                    let mut summary = unit.summary.clone();
-                    summary.sig = interner.sig_of(fid);
-                    out.summaries.insert(fid, summary);
-                    next_units.insert(key, unit.clone());
-                    continue;
-                }
-            }
-            misses += 1;
-            vc_obs::counter_inc(vc_obs::names::SERVE_UNIT_MISSES);
-            let detected = harden::isolated(hconf.isolate, || {
-                harden::failpoint(FailStage::Detect, &f.name);
-                detect_unit(
-                    prog,
-                    fid,
-                    interner.sig_of(fid),
-                    oracle.as_ref(),
-                    hconf.liveness_budget,
-                )
-            });
-            match detected {
-                Ok((summary, cands)) => {
-                    let exhausted = summary.exhausted;
-                    if exhausted {
-                        out.liveness_degraded += 1;
-                        vc_obs::counter_inc(vc_obs::names::HARDEN_DEGRADED_LIVENESS);
-                    }
-                    next_units.insert(
-                        key,
-                        CachedUnit {
-                            candidates: cands.clone(),
-                            exhausted,
-                            summary: summary.clone(),
-                        },
-                    );
-                    out.summaries.insert(fid, summary);
-                    out.candidates.extend(cands);
-                }
-                Err(message) => {
-                    vc_obs::counter_inc(vc_obs::names::HARDEN_POISONED_DETECT);
-                    out.failures.push(FailureRecord {
-                        stage: FailStage::Detect,
-                        file: prog.source.name(f.file).to_string(),
-                        function: Some(f.name.clone()),
-                        message,
-                    });
-                }
-            }
-        }
-        // Generational sweep: entries the current tree did not touch die.
-        let swept = self
-            .units
-            .keys()
-            .filter(|k| !next_units.contains_key(k))
-            .count() as u64;
-        vc_obs::counter_add(vc_obs::names::SERVE_UNITS_SWEPT, swept);
-        self.units = next_units;
-        finalize_pointer_stage(oracle.as_ref(), &mut out);
-        if deadline_exceeded {
-            for c in &mut out.candidates {
-                c.low_confidence = true;
-            }
-        }
-        (out, deadline_exceeded, hits, misses)
     }
 
     /// Handles one protocol line. Returns the reply and whether the daemon
@@ -1390,15 +1159,8 @@ mod tests {
         let (prog, errors, _) = Program::build_recovering(&project.source_refs(), &[]);
         let mut analysis =
             crate::pipeline::run_with_obs(&prog, &project.repo, opts, ObsSession::new());
-        let front: Vec<FailureRecord> = errors
-            .iter()
-            .map(|e| FailureRecord {
-                stage: FailStage::Parse,
-                file: e.file().to_string(),
-                function: e.function().map(str::to_string),
-                message: e.to_string(),
-            })
-            .collect();
+        let front: Vec<FailureRecord> =
+            errors.iter().map(FailureRecord::from_build_error).collect();
         analysis.report.failures.splice(0..0, front);
         analysis.report.canonical_bytes()
     }
@@ -1517,6 +1279,25 @@ mod tests {
         assert!(!full.deadline_exceeded);
         assert!(full.findings.iter().any(|(c, _)| *c == ServeDelta::New));
         assert_eq!(canonical_of(&full), cold_canonical(&dir, &Options::paper()));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn zero_deadline_on_a_warm_engine_replies_partial_from_the_cache() {
+        let dir = tree("warmdeadline", &[("a.c", BUGGY), ("b.c", CLEAN)]);
+        let mut eng = ServeEngine::new(&dir, ServeConfig::default()).unwrap();
+        eng.scan(None).unwrap();
+        fs::write(dir.join("b.c"), "int clean_fn(void) { return 2; }\n").unwrap();
+        // The executor resolves a.c's cached unit, then stops scheduling:
+        // the dirty b.c unit is skipped and the cached finding is kept at
+        // low confidence.
+        let resp = eng.scan(Some(0)).unwrap();
+        assert!(resp.deadline_exceeded);
+        assert_eq!((resp.unit_hits, resp.unit_misses), (1, 1));
+        assert!(!resp.report.rows.is_empty());
+        assert!(resp.report.rows.iter().all(|r| r.low_confidence));
+        let record = resp.report.failures.last().unwrap();
+        assert!(record.message.contains("deadline exceeded after 1 of 2"));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -36,15 +36,7 @@ fn cold_canonical(dir: &Path) -> Vec<u8> {
     let project = load_dir_or_empty(dir).expect("oracle loads the tree");
     let (prog, errors, _) = Program::build_recovering(&project.source_refs(), &[]);
     let mut analysis = run_with_obs(&prog, &project.repo, &Options::paper(), ObsSession::new());
-    let front: Vec<FailureRecord> = errors
-        .iter()
-        .map(|e| FailureRecord {
-            stage: FailStage::Parse,
-            file: e.file().to_string(),
-            function: e.function().map(str::to_string),
-            message: e.to_string(),
-        })
-        .collect();
+    let front: Vec<FailureRecord> = errors.iter().map(FailureRecord::from_build_error).collect();
     analysis.report.failures.splice(0..0, front);
     analysis.report.canonical_bytes()
 }

@@ -194,3 +194,17 @@ fn whole_file_loss_uses_the_file_level_diagnostic() {
     );
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn fail_fast_on_an_unparseable_file_is_a_build_failure() {
+    let dir = project("failfast", &[("good.c", BUGGY_FN), ("bad.c", MANGLED_FN)]);
+    let out = Command::new(env!("CARGO_BIN_EXE_vcheck"))
+        .arg(&dir)
+        .arg("--fail-fast")
+        .output()
+        .expect("vcheck runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("build failed"), "stderr: {stderr}");
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -200,3 +200,21 @@ fn tail_of_a_missing_log_exits_two() {
     let out = tail(&["/nonexistent/serve.events"]);
     assert_eq!(out.status.code(), Some(2));
 }
+
+#[test]
+fn missing_dir_exits_two_and_bad_history_is_answered_per_request() {
+    let missing = std::env::temp_dir().join(format!("vc-serve-it-{}-none", std::process::id()));
+    let (code, replies) = serve(&missing, &[], &["{\"op\":\"scan\"}"]);
+    assert_eq!((code, replies.len()), (2, 0));
+    let dir = project(
+        "badhist",
+        &[("a.c", BUGGY_FN), ("history.json", "{ not json")],
+    );
+    let (code, replies) = serve(&dir, &[], &["{\"op\":\"scan\"}", "{\"op\":\"shutdown\"}"]);
+    assert_eq!(code, 0, "the daemon starts and survives the bad history");
+    assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(false));
+    let error = replies[0].get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("history.json"), "{error}");
+    assert_eq!(replies[1].get("ok").and_then(Json::as_bool), Some(true));
+    let _ = fs::remove_dir_all(&dir);
+}

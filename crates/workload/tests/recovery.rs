@@ -28,10 +28,7 @@ use std::{
 
 use valuecheck::{
     delta::fingerprint_ranked,
-    harden::{
-        FailStage,
-        FailureRecord, //
-    },
+    harden::FailureRecord,
     pipeline::{
         run_sentinel,
         run_with_obs,
@@ -113,12 +110,7 @@ fn function_fingerprints(s: &Scan, function: &str) -> BTreeSet<u64> {
 fn folded_failures(s: &Scan) -> Vec<FailureRecord> {
     s.errors
         .iter()
-        .map(|e| FailureRecord {
-            stage: FailStage::Parse,
-            file: e.file().to_string(),
-            function: e.function().map(str::to_string),
-            message: e.to_string(),
-        })
+        .map(FailureRecord::from_build_error)
         .collect()
 }
 

@@ -3,7 +3,7 @@
 //! `valuecheck::project::load_dir`, and analysed — the findings must match
 //! the in-memory pipeline exactly.
 
-use std::fs;
+use std::{fs, path::PathBuf, process::Command, sync::OnceLock};
 
 use valuecheck::{
     pipeline::{
@@ -13,7 +13,10 @@ use valuecheck::{
     project::load_dir,
 };
 use vc_ir::Program;
-use vc_vcs::HistorySpec;
+use vc_vcs::{
+    spec::{CommitSpec, WriteSpec},
+    HistorySpec,
+};
 use vc_workload::{
     generate,
     AppProfile, //
@@ -77,4 +80,96 @@ fn history_spec_preserves_blame() {
             assert_eq!(a, b, "{path}:{line}");
         }
     }
+}
+
+/// The `vcheck` binary. It belongs to another workspace package, so cargo
+/// does not hand this test its path: build it into this test's own target
+/// directory once.
+fn vcheck() -> Command {
+    static BIN: OnceLock<PathBuf> = OnceLock::new();
+    let bin = BIN.get_or_init(|| {
+        let exe = std::env::current_exe().unwrap();
+        let profile_dir = exe.parent().unwrap().parent().unwrap().to_path_buf();
+        let mut build = Command::new(env!("CARGO"));
+        build.args(["build", "-q", "-p", "valuecheck", "--bin", "vcheck"]);
+        if profile_dir.ends_with("release") {
+            build.arg("--release");
+        }
+        assert!(build.status().unwrap().success(), "building vcheck");
+        profile_dir.join("vcheck")
+    });
+    Command::new(bin)
+}
+
+/// A two-commit project on disk: alice writes `f`, bob overwrites `x`.
+fn two_commit_project(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("vc_cli_{name}_{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    let v1 = "void f(void) {\nint x = 1;\nuse(x);\n}\n";
+    let v2 = "void f(void) {\nint x = 1;\nx = 2;\nuse(x);\n}\n";
+    let commit = |author: &str, content: &str| CommitSpec {
+        author: author.into(),
+        timestamp: 1,
+        message: "edit".into(),
+        writes: vec![WriteSpec {
+            path: "a.c".into(),
+            content: content.into(),
+        }],
+    };
+    let spec = HistorySpec {
+        commits: vec![commit("alice", v1), commit("bob", v2)],
+    };
+    fs::write(dir.join("history.json"), spec.to_json()).unwrap();
+    fs::write(dir.join("a.c"), v2).unwrap();
+    dir
+}
+
+#[test]
+fn delta_and_history_accept_the_shared_analysis_flags() {
+    let dir = two_commit_project("shared");
+    let shared = ["--all", "--no-prune", "--define", "X"];
+    let delta = vcheck()
+        .arg("delta")
+        .arg(&dir)
+        .args(["--from", "HEAD~1", "--to", "HEAD"])
+        .args(shared)
+        .output()
+        .unwrap();
+    let history = vcheck()
+        .arg("history")
+        .arg(&dir)
+        .args(shared)
+        .output()
+        .unwrap();
+    for out in [delta, history] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(matches!(out.status.code(), Some(0 | 1)), "stderr: {stderr}");
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn every_subcommand_exits_two_on_an_unknown_flag() {
+    let dir = two_commit_project("unknown");
+    let cases: [(&[&str], &str); 7] = [
+        (&[], "--bogus"),
+        (&["delta"], "--bogus"),
+        (&["history"], "--bogus"),
+        (&["serve"], "--bogus"),
+        (&["tail"], "--bogus"),
+        // Shared flags only where the subcommand takes them.
+        (&["serve"], "--jobs"),
+        (&["tail"], "--define"),
+    ];
+    for (sub, flag) in cases {
+        let out = vcheck().args(sub).arg(&dir).arg(flag).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{sub:?} {flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown argument `{flag}`")),
+            "{stderr}"
+        );
+    }
+    fs::remove_dir_all(&dir).unwrap();
 }

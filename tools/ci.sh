@@ -96,6 +96,12 @@ grep -q '"throughput_rps"' BENCH_serve.json
 grep -q '"serve/sustained_p99"' BENCH_serve.json
 tools/perfgate
 
+# e2ebench: the end-to-end benchmark's own tests. It compiles against the
+# public library items the binary's scan paths use, so a change to one of
+# them fails here rather than in a benchmark run.
+echo "==> cargo test --release --manifest-path e2ebench/Cargo.toml"
+cargo test --release --manifest-path e2ebench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
