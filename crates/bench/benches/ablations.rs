@@ -14,8 +14,10 @@ use valuecheck::{
     authorship::AuthorshipCtx,
     detect::{
         detect_program,
+        detect_program_hardened,
         DetectConfig, //
     },
+    harden::HardenConfig,
     prune::{
         prune,
         PeerStats,
@@ -75,10 +77,10 @@ fn peer_thresholds(h: &mut Harness) {
     let app = generate(&AppProfile::nfs_ganesha().scaled(0.3));
     let sources = app.source_refs();
     let prog = Program::build(&sources, &app.defines).expect("workload builds");
-    let candidates = detect_program(&prog, DetectConfig::default());
+    let out = detect_program_hardened(&prog, DetectConfig::default(), HardenConfig::default());
     let ctx = AuthorshipCtx::new(&prog, &app.repo);
     let attributed: Vec<_> = ctx
-        .attribute_all(&candidates)
+        .attribute_all(&out.candidates)
         .into_iter()
         .filter(|a| a.cross_scope)
         .collect();
@@ -91,7 +93,9 @@ fn peer_thresholds(h: &mut Harness) {
             ..PruneConfig::default()
         };
         h.bench(&min_occ.to_string(), || {
-            prune(&prog, &config, &peers, attributed.clone()).kept.len()
+            prune(&prog, &config, &peers, &out.summaries, attributed.clone())
+                .kept
+                .len()
         });
     }
 }
@@ -102,10 +106,10 @@ fn prune_order(h: &mut Harness) {
     let app = generate(&AppProfile::linux().scaled(0.2));
     let sources = app.source_refs();
     let prog = Program::build(&sources, &app.defines).expect("workload builds");
-    let candidates = detect_program(&prog, DetectConfig::default());
+    let out = detect_program_hardened(&prog, DetectConfig::default(), HardenConfig::default());
     let ctx = AuthorshipCtx::new(&prog, &app.repo);
     let attributed: Vec<_> = ctx
-        .attribute_all(&candidates)
+        .attribute_all(&out.candidates)
         .into_iter()
         .filter(|a| a.cross_scope)
         .collect();
@@ -121,7 +125,9 @@ fn prune_order(h: &mut Harness) {
     h.group("prune_single_pattern").sample_size(20);
     for (label, config) in configs {
         h.bench(label, || {
-            prune(&prog, &config, &peers, attributed.clone()).kept.len()
+            prune(&prog, &config, &peers, &out.summaries, attributed.clone())
+                .kept
+                .len()
         });
     }
 }

@@ -9,8 +9,10 @@ use valuecheck::{
     authorship::AuthorshipCtx,
     detect::{
         detect_program,
+        detect_program_hardened,
         DetectConfig, //
     },
+    harden::HardenConfig,
     prune::{
         prune,
         PeerStats,
@@ -61,27 +63,28 @@ fn main() {
         detect_program(&prog, DetectConfig::default()).len()
     });
 
-    let candidates = detect_program(&prog, DetectConfig::default());
+    let out = detect_program_hardened(&prog, DetectConfig::default(), HardenConfig::default());
     h.bench("authorship_lookup", || {
         let ctx = AuthorshipCtx::new(&prog, &app.repo);
-        ctx.attribute_all(&candidates).len()
+        ctx.attribute_all(&out.candidates).len()
     });
 
     let ctx = AuthorshipCtx::new(&prog, &app.repo);
     let attributed: Vec<_> = ctx
-        .attribute_all(&candidates)
+        .attribute_all(&out.candidates)
         .into_iter()
         .filter(|a| a.cross_scope)
         .collect();
+    let config = PruneConfig::default();
     h.bench("pruning", || {
         let peers = PeerStats::compute(&prog);
-        prune(&prog, &PruneConfig::default(), &peers, attributed.clone())
+        prune(&prog, &config, &peers, &out.summaries, attributed.clone())
             .kept
             .len()
     });
 
     let peers = PeerStats::compute(&prog);
-    let kept = prune(&prog, &PruneConfig::default(), &peers, attributed).kept;
+    let kept = prune(&prog, &config, &peers, &out.summaries, attributed).kept;
     h.bench("familiarity_ranking", || {
         rank(&prog, &app.repo, &RankConfig::default(), kept.clone()).len()
     });

@@ -161,8 +161,8 @@ pub fn run_perf(config: &PerfConfig) -> (PerfReport, PerfReport) {
     // The warm-daemon workload behind `scan/serve_warm`: the nfs-ganesha
     // tree on disk, a warmed ServeEngine, and a one-file edit per run —
     // the editor-loop case the daemon exists for. The engine carries its
-    // parse and unit caches across runs; only the edited file's dirty
-    // closure re-analyzes.
+    // parse and unit caches across runs; only functions whose lowering
+    // the edit changed re-analyze.
     let serve_app = &apps[1].0; // AppProfile::all() Table 2 order: nfs-ganesha
     let serve_dir = std::env::temp_dir().join(format!("vc-perf-serve-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&serve_dir);

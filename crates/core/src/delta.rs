@@ -63,6 +63,7 @@ use crate::{
         RevisionAnalysis, //
     },
     rank::Ranked,
+    report::csv_escape,
     sentinel::{
         fnv1a,
         SentinelConfig,
@@ -393,16 +394,6 @@ impl DeltaReport {
         let mut out = self.to_csv().into_bytes();
         out.extend_from_slice(self.to_json().as_bytes());
         out
-    }
-}
-
-// Same quoting rules as the main report's CSV (kept private there; the two
-// must not drift apart, which `delta_csv_quotes_like_report` pins).
-fn csv_escape(s: &str) -> String {
-    if s.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
     }
 }
 
@@ -1017,13 +1008,32 @@ mod tests {
 
     #[test]
     fn delta_csv_quotes_like_report() {
-        // The delta CSV must keep the same quoting rules as the main
-        // report (commas, quotes, and newlines all force quoting).
-        assert_eq!(csv_escape("plain"), "plain");
-        assert_eq!(csv_escape("a,b"), "\"a,b\"");
-        assert_eq!(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-        assert_eq!(csv_escape("two\nlines"), "\"two\nlines\"");
-        assert_eq!(csv_escape("cr\rhere"), "\"cr\rhere\"");
+        // The delta CSV quotes its text fields through the report's
+        // escaper (`report::tests::csv_escaping` pins the rules).
+        let report = DeltaReport {
+            rows: vec![DeltaRow {
+                status: DeltaStatus::New,
+                finding: Finding {
+                    fingerprint: Fingerprint(1),
+                    file: "src/a,b.c".into(),
+                    line: 3,
+                    function: "f".into(),
+                    variable: "say \"hi\"".into(),
+                    scenario: "retval".into(),
+                },
+                old_line: None,
+                new_line: Some(3),
+                old_fingerprint: None,
+            }],
+        };
+        let csv = report.to_csv();
+        assert_eq!(
+            csv.lines().nth(1).unwrap(),
+            format!(
+                "new,{},\"src/a,b.c\",,3,f,\"say \"\"hi\"\"\",retval",
+                Fingerprint(1).to_hex()
+            )
+        );
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //!   wall-clock deadlines for the Andersen solver and the liveness
 //!   fixpoints, enforced inside the solver loops via
 //!   [`vc_obs::BudgetMeter`].
-//! - **Degradation ladder.** On pointer budget exhaustion the pipeline
-//!   falls back to the conservative field-insensitive may-alias oracle
-//!   (`AliasUses::conservative`); on liveness budget exhaustion the
-//!   function's candidates are kept but marked low-confidence. Every
+//! - **Degradation ladder.** When a demand pointer solve degrades (budget
+//!   exhaustion or panic), that component's indirect callees resolve to
+//!   the empty set (`harden.degraded.pointer`); on liveness budget
+//!   exhaustion the function's candidates are kept but marked
+//!   low-confidence. Every
 //!   downgrade is counted under `harden.*` in the ambient
 //!   [`ObsSession`](vc_obs::ObsSession) and surfaced by `vcheck --stats`.
 //!

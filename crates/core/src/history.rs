@@ -57,6 +57,7 @@ use crate::{
     },
     pipeline::Options,
     prune::PruneReason,
+    report::csv_escape,
     sentinel::SentinelConfig,
     suppress::{
         InlineSuppressions,
@@ -151,10 +152,10 @@ pub fn tracks_to_csv(db: &LifeDb) -> String {
             r.state.label(),
             r.born.0,
             r.last.0,
-            r.file,
+            csv_escape(&r.file),
             r.line,
-            r.function,
-            r.variable,
+            csv_escape(&r.function),
+            csv_escape(&r.variable),
             r.scenario
         ));
     }
@@ -399,6 +400,31 @@ mod tests {
             obs.clone(),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn tracks_csv_quotes_a_path_with_a_comma() {
+        let mut db = LifeDb::default();
+        db.events.push(LifeEvent {
+            commit: CommitId(1),
+            track: Fingerprint(0x11),
+            fingerprint: Fingerprint(0x11),
+            kind: LifeEventKind::Born,
+            file: "src/a,b.c".into(),
+            line: 4,
+            function: "f".into(),
+            variable: "ret".into(),
+            scenario: "retval".into(),
+        });
+        let csv = tracks_to_csv(&db);
+        let row = csv.lines().nth(1).unwrap();
+        assert_eq!(
+            row,
+            format!(
+                "{},live,1,1,\"src/a,b.c\",4,f,ret,retval",
+                Fingerprint(0x11).to_hex()
+            )
+        );
     }
 
     #[test]

@@ -126,7 +126,7 @@ impl SnapshotStore {
             Ok(t) => t,
             Err(_) => return SnapshotStore::default(), // cold start
         };
-        let Some((body, sum)) = Self::split_checksum(&text) else {
+        let Some((body, sum)) = split_checksum(&text) else {
             // No checksum line: a pre-v2 file or one truncated mid-write.
             vc_obs::counter_inc(vc_obs::names::HARDEN_SNAPSHOT_RECOVERED);
             return SnapshotStore::default();
@@ -142,15 +142,6 @@ impl SnapshotStore {
                 SnapshotStore::default()
             }
         }
-    }
-
-    /// Splits the file into (body, trailing checksum). `None` when the last
-    /// line is not a well-formed `checksum <hex16>` record.
-    fn split_checksum(text: &str) -> Option<(&str, u64)> {
-        let trimmed = text.strip_suffix('\n')?;
-        let body_end = trimmed.rfind('\n').map(|i| i + 1).unwrap_or(0);
-        let sum = u64::from_str_radix(trimmed[body_end..].strip_prefix("checksum ")?, 16).ok()?;
-        Some((&text[..body_end], sum))
     }
 
     fn parse(text: &str) -> Option<SnapshotStore> {
@@ -188,13 +179,9 @@ impl SnapshotStore {
         Some(store)
     }
 
-    /// Serialises and writes the store **atomically**: the content (plus
-    /// its trailing checksum line) goes to a temp file in the same
-    /// directory, is fsynced, and is renamed over `path`. A reader — or a
-    /// crash — at any point sees either the complete old store or the
-    /// complete new one, never a torn mix.
+    /// Serialises the store (plus its trailing checksum line) and writes it
+    /// with [`write_atomic`].
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        use std::io::Write as _;
         let mut out = format!("valuecheck-snapshot v{SNAPSHOT_FILE_VERSION}\n");
         if let Some(c) = self.commit {
             out.push_str(&format!("commit {}\n", c.0));
@@ -206,42 +193,7 @@ impl SnapshotStore {
             ));
         }
         out.push_str(&format!("checksum {:016x}\n", content_hash(&out)));
-
-        let file_name = path
-            .file_name()
-            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "no file name"))?;
-        let tmp = path.with_file_name(format!(
-            ".{}.tmp.{}",
-            file_name.to_string_lossy(),
-            std::process::id()
-        ));
-        let write_and_rename = || -> std::io::Result<()> {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(out.as_bytes())?;
-            f.sync_all()?;
-            drop(f);
-            std::fs::rename(&tmp, path)
-        };
-        if let Err(e) = write_and_rename() {
-            // Any failure — create, write, fsync, or rename — must not leave
-            // `.tmp` debris behind: a long-lived daemon saves on every
-            // shutdown and would otherwise accumulate orphans.
-            let _ = std::fs::remove_file(&tmp);
-            vc_obs::counter_inc(vc_obs::names::HARDEN_SNAPSHOT_SAVE_FAILED);
-            return Err(e);
-        }
-        // Make the rename itself durable (best-effort: directory fsync is
-        // not available on every platform).
-        if let Some(dir) = path.parent() {
-            if let Ok(d) = std::fs::File::open(if dir.as_os_str().is_empty() {
-                Path::new(".")
-            } else {
-                dir
-            }) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
+        write_atomic(path, &out)
     }
 
     /// The stored fingerprints as a suppression set (`vcheck delta
@@ -279,6 +231,58 @@ pub(crate) fn content_hash(text: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+/// Splits a store file into (body, trailing checksum). `None` when the last
+/// line is not a well-formed `checksum <hex16>` record.
+pub(crate) fn split_checksum(text: &str) -> Option<(&str, u64)> {
+    let trimmed = text.strip_suffix('\n')?;
+    let body_end = trimmed.rfind('\n').map(|i| i + 1).unwrap_or(0);
+    let sum = u64::from_str_radix(trimmed[body_end..].strip_prefix("checksum ")?, 16).ok()?;
+    Some((&text[..body_end], sum))
+}
+
+/// Writes a store file **atomically**, the writer shared by the on-disk
+/// stores: `text` goes to a temp file in the same directory, is fsynced,
+/// and is renamed over `path`. A reader — or a crash — at any point sees
+/// either the complete old file or the complete new one, never a torn mix.
+pub(crate) fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
+    use std::io::Write as _;
+    let file_name = path
+        .file_name()
+        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "no file name"))?;
+    let tmp = path.with_file_name(format!(
+        ".{}.tmp.{}",
+        file_name.to_string_lossy(),
+        std::process::id()
+    ));
+    let write_and_rename = || -> std::io::Result<()> {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(text.as_bytes())?;
+        f.sync_all()?;
+        drop(f);
+        std::fs::rename(&tmp, path)
+    };
+    if let Err(e) = write_and_rename() {
+        // Any failure — create, write, fsync, or rename — must not leave
+        // `.tmp` debris behind: a long-lived daemon saves on every
+        // shutdown and would otherwise accumulate orphans.
+        let _ = std::fs::remove_file(&tmp);
+        vc_obs::counter_inc(vc_obs::names::HARDEN_SNAPSHOT_SAVE_FAILED);
+        return Err(e);
+    }
+    // Make the rename itself durable (best-effort: directory fsync is
+    // not available on every platform).
+    if let Some(dir) = path.parent() {
+        if let Ok(d) = std::fs::File::open(if dir.as_os_str().is_empty() {
+            Path::new(".")
+        } else {
+            dir
+        }) {
+            let _ = d.sync_all();
+        }
+    }
+    Ok(())
 }
 
 /// Analyses the snapshot at `commit`, detecting only in its changed files.
@@ -374,6 +378,38 @@ pub fn analyze_commit_in(
         analysed_functions: analysed,
         findings: analysis.ranked,
     }
+}
+
+/// Test helper for the stores built on [`write_atomic`]: `save` targets a
+/// path occupied by a non-empty directory, so the temp file is written but
+/// the rename over it fails. The save must error, count
+/// `harden.snapshot_save_failed` once, and leave no temp file behind.
+#[cfg(test)]
+pub(crate) fn assert_failed_save_cleans_up(
+    name: &str,
+    save: impl FnOnce(&Path) -> std::io::Result<()>,
+) {
+    let dir = std::env::temp_dir().join(format!("vc-failsave-{}-{name}", std::process::id()));
+    let path = dir.join("store");
+    std::fs::create_dir_all(path.join("occupied")).unwrap();
+    let obs = vc_obs::ObsSession::new();
+    let result = {
+        let _g = obs.install();
+        save(&path)
+    };
+    assert!(result.is_err(), "rename over a non-empty dir must fail");
+    assert_eq!(
+        obs.registry
+            .counter(vc_obs::names::HARDEN_SNAPSHOT_SAVE_FAILED),
+        1
+    );
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .filter(|e| e.file_name() != "store")
+        .collect();
+    assert!(leftovers.is_empty(), "temp debris left: {leftovers:?}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[cfg(test)]
@@ -607,32 +643,11 @@ mod tests {
 
     #[test]
     fn failed_save_removes_its_temp_file_and_counts() {
-        let dir = std::env::temp_dir().join(format!("vc-snap-failsave-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        // Make the destination a non-empty directory: the temp file is
-        // created and written, but the atomic rename over it must fail.
-        let path = dir.join("store.snap");
-        std::fs::create_dir_all(path.join("occupied")).unwrap();
-        let obs = vc_obs::ObsSession::new();
-        let result = {
-            let _g = obs.install();
+        assert_failed_save_cleans_up("snap", |path| {
             let mut store = SnapshotStore::default();
             store.commit = Some(CommitId(1));
-            store.save(&path)
-        };
-        assert!(result.is_err(), "rename over a non-empty dir must fail");
-        assert_eq!(
-            obs.registry
-                .counter(vc_obs::names::HARDEN_SNAPSHOT_SAVE_FAILED),
-            1
-        );
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name() != "store.snap")
-            .collect();
-        assert!(leftovers.is_empty(), "temp debris left: {leftovers:?}");
-        std::fs::remove_dir_all(&dir).ok();
+            store.save(path)
+        });
     }
 
     #[test]

@@ -186,7 +186,9 @@ impl Report {
     }
 }
 
-fn csv_escape(s: &str) -> String {
+/// Quotes one CSV field when it holds a comma, quote or line break,
+/// doubling inner quotes — the rule every CSV output of `vcheck` shares.
+pub(crate) fn csv_escape(s: &str) -> String {
     if s.contains([',', '"', '\n', '\r']) {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {

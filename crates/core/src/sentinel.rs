@@ -42,8 +42,9 @@
 //! with the replayed units.
 
 use std::{
-    collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque},
+    collections::{BTreeMap, BTreeSet, HashMap, VecDeque},
     fs,
+    hash::{DefaultHasher, Hash as _, Hasher as _},
     io::{self, Seek as _, Write as _},
     panic::{catch_unwind, AssertUnwindSafe},
     path::{Path, PathBuf},
@@ -810,11 +811,10 @@ pub(crate) struct ScanScope<'a> {
     /// per-commit mode); `None` scans every function.
     pub(crate) files: Option<&'a BTreeSet<FileId>>,
     /// Results of earlier scans: a hit resolves its unit before scheduling,
-    /// fresh results are stored, and entries no unit used are swept.
+    /// fresh results are stored, and entries no unit used are swept. A key
+    /// covers the lowered function, so a hit is exactly the result the
+    /// unit would compute.
     pub(crate) cache: Option<&'a mut UnitCache>,
-    /// Function names that run even on a cache hit (serve's dirty closure:
-    /// belt and braces against key-collision bugs).
-    pub(crate) rerun: Option<&'a HashSet<String>>,
 }
 
 /// One cached per-function result. Only clean units are cached: poisoned
@@ -827,13 +827,14 @@ struct CachedUnit {
     summary: FnSummary,
 }
 
-/// Content-keyed per-function detection results carried from one scan to
-/// the next (the warm `vcheck serve` daemon). A key binds everything that
-/// can change a function's analysis: file position, name and bytes,
-/// function name and ordinal within its file, the function's pointer
-/// fingerprint, and a salt over the detect/harden configuration and
-/// [`SentinelConfig::fingerprint_salt`] (the defines). A stale entry is
-/// therefore unreachable rather than wrong.
+/// Per-function detection results carried from one scan to the next (the
+/// warm `vcheck serve` daemon). A key binds exactly what detecting a unit
+/// reads: the lowered [`vc_ir::Function`] (which already reflects every
+/// declaration lowering took from other files — prototypes, globals,
+/// struct layouts), the function's pointer fingerprint, and a salt over
+/// the detect/harden configuration and
+/// [`SentinelConfig::fingerprint_salt`] (the defines). Equal keys
+/// therefore mean equal candidates and summary, up to the function's id.
 #[derive(Debug, Default)]
 pub(crate) struct UnitCache {
     units: HashMap<u64, CachedUnit>,
@@ -878,8 +879,7 @@ fn pointer_fingerprint(fid: FuncId, f: &vc_ir::Function, oracle: Option<&DemandP
     fnv1a(h, &[1, oracle.is_some() as u8, degraded as u8])
 }
 
-/// The cache key of every function (see [`UnitCache`]). File hashes are
-/// computed once per file, not once per function.
+/// The cache key of every function (see [`UnitCache`]).
 fn unit_keys(
     prog: &Program,
     oracle: Option<&DemandPointer>,
@@ -890,22 +890,12 @@ fn unit_keys(
     let mut base = fnv1a(FNV_SEED, format!("{config:?}").as_bytes());
     base = fnv1a(base, format!("{hconf:?}").as_bytes());
     base = fnv1a(base, &salt.to_le_bytes());
-    let mut files: HashMap<FileId, (u64, u32)> = HashMap::new();
-    let mut keys = Vec::with_capacity(prog.funcs.len());
-    for (i, f) in prog.funcs.iter().enumerate() {
-        let (file_hash, ordinal) = files.entry(f.file).or_insert_with(|| {
-            let mut h = fnv1a(base, &f.file.0.to_le_bytes());
-            h = fnv1a(h, prog.source.name(f.file).as_bytes());
-            let content = prog.source.file(f.file).map_or("", |s| s.content.as_str());
-            (fnv1a(h, content.as_bytes()), 0)
-        });
-        let mut h = fnv1a(*file_hash, f.name.as_bytes());
-        h = fnv1a(h, &ordinal.to_le_bytes());
-        *ordinal += 1;
-        let pf = pointer_fingerprint(FuncId(i as u32), f, oracle);
-        keys.push(fnv1a(h, &pf.to_le_bytes()));
-    }
-    keys
+    let key = |(i, f): (usize, &vc_ir::Function)| {
+        let mut h = DefaultHasher::new();
+        (base, f, pointer_fingerprint(FuncId(i as u32), f, oracle)).hash(&mut h);
+        h.finish()
+    };
+    prog.funcs.iter().enumerate().map(key).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1331,7 +1321,7 @@ pub(crate) fn detect_program_scoped(
     // it — the function's global id may have shifted when other files
     // gained or lost functions, while its file, spans, and locals are
     // pinned by the key.
-    let (mut cache, rerun) = (scope.cache, scope.rerun);
+    let mut cache = scope.cache;
     let keys = cache.as_ref().map(|_| {
         unit_keys(
             prog,
@@ -1346,8 +1336,7 @@ pub(crate) fn detect_program_scoped(
     let mut state = ExecState::default();
     for &unit in units.iter().filter(|u| !replayed.contains_key(u)) {
         let fid = FuncId(unit as u32);
-        let dirty = rerun.is_some_and(|r| r.contains(&prog.func(fid).name));
-        let key = keys.as_ref().map(|k| k[unit]).filter(|_| !dirty);
+        let key = keys.as_ref().map(|k| k[unit]);
         let hit = key
             .zip(cache.as_deref_mut())
             .and_then(|(k, c)| c.units.remove(&k));

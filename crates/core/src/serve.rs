@@ -3,11 +3,10 @@
 //! A long-lived loop speaking a JSON-lines protocol over stdin/stdout:
 //! one request object per line, one reply object per line. The daemon
 //! keeps parsed IR (a [`ParseCache`]), per-function detection results (a
-//! content-keyed unit cache), and the previous response's fingerprints
-//! warm, so re-scanning after a small edit re-analyzes only the dirty
-//! function closure — changed functions plus their callers and callees —
-//! while replying with bytes identical to a cold `vcheck scan` of the
-//! same tree.
+//! unit cache keyed on each lowered function), and the previous response's
+//! fingerprints warm, so re-scanning after a small edit re-analyzes only
+//! the functions whose lowering changed, while replying with bytes
+//! identical to a cold `vcheck scan` of the same tree.
 //!
 //! ## Protocol
 //!
@@ -48,30 +47,31 @@
 //!
 //! Detection runs on the same [`sentinel`](crate::sentinel) executor as a
 //! batch scan, with the daemon's long-lived [`UnitCache`] in its scope.
-//! Unit-cache keys bind the *content*: file position, file name, file
-//! bytes, function name and ordinal, the function's pointer fingerprint
-//! (resolved indirect callees + degradation flag — a constant for the
-//! common function with no indirect calls, so no pointer component is
-//! solved on its behalf), the preprocessor defines, and the detect/harden
-//! configuration. A hit resolves its unit before anything is scheduled and
+//! Every request re-assembles the program from the (parse-cached) files,
+//! and a unit's key hashes exactly what detecting it reads: the lowered
+//! function — which already reflects every declaration lowering took from
+//! other files, so adding a prototype in `b.c` changes the key of a
+//! function in `a.c` that calls it — plus the function's pointer
+//! fingerprint (resolved indirect callees + degradation flag — a constant
+//! for the common function with no indirect calls, so no pointer
+//! component is solved on its behalf), the preprocessor defines, and the
+//! detect/harden configuration. A hit is therefore exactly the result the
+//! unit would compute; it resolves before anything is scheduled and
 //! carries the function's summary alongside its candidates, so the prune
-//! stage does not rebuild dataflow facts (counted under `summary.reused`);
-//! only misses run on executor workers.
-//! Any input that could change a function's analysis changes its key, so
-//! a stale entry is unreachable rather than wrong. On top of the keys,
-//! the dirty closure (functions in changed files, plus callers and
-//! callees of changed functions by name) is re-analyzed unconditionally.
-//! Both caches sweep generationally: entries not used by the current
-//! request are dropped, bounding memory across thousands of requests.
+//! stage does not rebuild dataflow facts (counted under `summary.reused`).
+//! Only misses run on executor workers; `serve.dirty_ratio` is their share
+//! of the program's functions. Both caches sweep generationally: entries
+//! not used by the current request are dropped, bounding memory across
+//! thousands of requests.
 //!
 //! ## Telemetry (DESIGN.md §16)
 //!
 //! Every request is an observable unit: a monotonic `trace_id` (echoed in
-//! the reply), a `serve.request` span tree (parse → dirty-closure →
-//! detect → prune → rank → reply), a `serve.latency.<op>` histogram
-//! sample, and exactly one outcome counter so the request funnel balances
-//! at any instant: `serve.requests == serve.replies + serve.shed +
-//! serve.errors + serve.quarantined`. `--trace` / `--metrics-json` flush
+//! the reply), a `serve.request` span tree (parse → detect → prune →
+//! rank → reply), a `serve.latency.<op>` histogram sample, and exactly
+//! one outcome counter so the request funnel balances at any instant:
+//! `serve.requests == serve.replies + serve.shed + serve.errors +
+//! serve.quarantined`. `--trace` / `--metrics-json` flush
 //! the Chrome trace and versioned metrics snapshot on shutdown/EOF, with
 //! the same export schema as batch `vcheck scan`; `--event-log` appends a
 //! size-rotated JSON-lines record per request (see [`crate::eventlog`]
@@ -86,7 +86,7 @@
 //! the named request numbers to exercise the quarantine path.
 
 use std::{
-    collections::{HashMap, HashSet},
+    collections::HashSet,
     io::{self, BufRead, Write},
     panic::{catch_unwind, AssertUnwindSafe},
     path::{Path, PathBuf},
@@ -95,10 +95,7 @@ use std::{
 };
 
 use vc_ir::{
-    ir::Callee,
     program::ParseCache,
-    FileId,
-    FuncId,
     Program, //
 };
 use vc_obs::{Json, ObsSession};
@@ -109,7 +106,7 @@ use crate::{
     harden::{self, FailStage, FailureRecord},
     incremental::SnapshotStore,
     pipeline::{record_front_end, run_scoped, Options},
-    project::{load_dir_or_empty, Project},
+    project::load_dir_or_empty,
     sentinel::{fnv1a, salt_strings, ScanScope, SentinelConfig, UnitCache, FNV_SEED},
 };
 
@@ -311,14 +308,6 @@ impl ServeEngine {
         parse_span.end();
         record_front_end(&obs, &parse_errors, &stats);
 
-        // --- Dirty closure: changed files, plus callers/callees of their
-        // functions by name. Everything in it re-runs unconditionally
-        // (the content-keyed unit cache would catch these anyway; the
-        // closure is belt and braces against key-collision bugs). ---
-        let dirty_span = obs.span("serve.dirty_closure", "serve");
-        let dirty = self.dirty_closure(&prog, &project);
-        dirty_span.end();
-
         // --- Detection and back end: the executor resolves cached units
         // before scheduling the misses, then the stages shared with batch
         // scan run — byte-for-byte the same report. ---
@@ -329,7 +318,6 @@ impl ServeEngine {
         };
         let scope = ScanScope {
             cache: Some(&mut self.units),
-            rerun: Some(&dirty),
             files: None,
         };
         let mut analysis = run_scoped(
@@ -363,9 +351,7 @@ impl ServeEngine {
         );
         reg.set_gauge(
             vc_obs::names::SERVE_DIRTY_RATIO,
-            // `dirty` holds names (possibly including undefined externals
-            // named at call sites), so clamp into [0, 1].
-            (dirty.len() as f64 / prog.funcs.len().max(1) as f64).min(1.0),
+            unit_misses as f64 / prog.funcs.len().max(1) as f64,
         );
         // Front-end failures splice ahead, mirroring `vcheck scan`.
         let front: Vec<FailureRecord> = parse_errors
@@ -427,62 +413,6 @@ impl ServeEngine {
             unit_hits,
             unit_misses,
         })
-    }
-
-    /// Function names defined in files whose content changed since the
-    /// warm snapshot, expanded to callers and callees by name.
-    fn dirty_closure(&self, prog: &Program, project: &Project) -> HashSet<String> {
-        let warm = match &self.warm {
-            Some(w) => w,
-            None => return prog.funcs.iter().map(|f| f.name.clone()).collect(),
-        };
-        let old: HashMap<&str, &str> = warm
-            .sources
-            .iter()
-            .map(|(p, c)| (p.as_str(), c.as_str()))
-            .collect();
-        let mut changed_files: HashSet<&str> = HashSet::new();
-        for (path, content) in &project.sources {
-            if old.get(path.as_str()) != Some(&content.as_str()) {
-                changed_files.insert(path);
-            }
-        }
-        let mut dirty: HashSet<String> = HashSet::new();
-        let mut changed_fns: Vec<FuncId> = Vec::new();
-        for (i, _) in project.sources.iter().enumerate() {
-            let fid = FileId(i as u32);
-            if changed_files.contains(prog.source.name(fid)) {
-                for (id, f) in prog.funcs_in_file(fid) {
-                    dirty.insert(f.name.clone());
-                    changed_fns.push(id);
-                }
-            }
-        }
-        // Callers of changed functions (by callee name).
-        let call_index = prog.call_index();
-        for name in dirty.clone() {
-            if let Some(sites) = call_index.get(&name) {
-                for site in sites {
-                    dirty.insert(prog.func(site.caller).name.clone());
-                }
-            }
-        }
-        // Direct callees of changed functions.
-        for fid in changed_fns {
-            let f = prog.func(fid);
-            for bb in &f.blocks {
-                for inst in &bb.insts {
-                    if let vc_ir::ir::Inst::Call {
-                        callee: Callee::Direct(n),
-                        ..
-                    } = inst
-                    {
-                        dirty.insert(n.clone());
-                    }
-                }
-            }
-        }
-        dirty
     }
 
     /// Handles one protocol line. Returns the reply and whether the daemon
@@ -1198,6 +1128,36 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Scans with `b.c = before`, rewrites it to `after`, and checks the
+    /// warm rescan against a cold scan. Lowering `f` reads `get_v`'s
+    /// declaration from b.c, so a.c's unit must re-run although a.c's
+    /// bytes never change.
+    fn warm_matches_cold_across_b_edit(name: &str, before: &str, after: &str, rows: usize) {
+        let dir = tree(
+            name,
+            &[("a.c", "void f(void) {\nget_v();\n}\n"), ("b.c", before)],
+        );
+        let mut eng = ServeEngine::new(&dir, ServeConfig::default()).unwrap();
+        eng.scan(None).unwrap();
+        fs::write(dir.join("b.c"), after).unwrap();
+        let warm = eng.scan(None).unwrap();
+        assert_eq!(warm.findings.len(), rows);
+        assert_eq!(canonical_of(&warm), cold_canonical(&dir, &Options::paper()));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    const PROTO: &str = "int get_v(void);\nint clean_fn(void) { return 1; }\n";
+
+    #[test]
+    fn adding_a_prototype_in_another_file_matches_cold() {
+        warm_matches_cold_across_b_edit("proto-add", CLEAN, PROTO, 1);
+    }
+
+    #[test]
+    fn removing_a_prototype_in_another_file_matches_cold() {
+        warm_matches_cold_across_b_edit("proto-rm", PROTO, CLEAN, 0);
+    }
+
     #[test]
     fn delta_classification_tracks_edits() {
         let dir = tree("delta", &[("a.c", BUGGY), ("b.c", CLEAN)]);
@@ -1289,7 +1249,7 @@ mod tests {
         eng.scan(None).unwrap();
         fs::write(dir.join("b.c"), "int clean_fn(void) { return 2; }\n").unwrap();
         // The executor resolves a.c's cached unit, then stops scheduling:
-        // the dirty b.c unit is skipped and the cached finding is kept at
+        // the edited b.c unit is skipped and the cached finding is kept at
         // low confidence.
         let resp = eng.scan(Some(0)).unwrap();
         assert!(resp.deadline_exceeded);
@@ -1543,7 +1503,7 @@ mod tests {
 
         // The Chrome trace contains the request span tree.
         let trace_text = fs::read_to_string(&trace_path).unwrap();
-        for span in ["serve.request", "serve.parse", "serve.dirty_closure"] {
+        for span in ["serve.request", "serve.parse"] {
             assert!(trace_text.contains(span), "trace must contain {span}");
         }
 

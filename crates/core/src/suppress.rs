@@ -40,7 +40,11 @@ use crate::{
         Finding,
         CHURN_NEARBY_LINES, //
     },
-    incremental::content_hash,
+    incremental::{
+        content_hash,
+        split_checksum,
+        write_atomic, //
+    },
 };
 
 /// The annotation marker scanned for in source comments.
@@ -242,38 +246,9 @@ impl SuppressStore {
         out
     }
 
-    /// Writes the store atomically (temp file + fsync + rename), like
-    /// [`SnapshotStore::save`](crate::incremental::SnapshotStore::save).
+    /// Writes the store atomically (temp file + fsync + rename).
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        use std::io::Write as _;
-        let out = self.to_text();
-        let file_name = path
-            .file_name()
-            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "no file name"))?;
-        let tmp = path.with_file_name(format!(
-            ".{}.tmp.{}",
-            file_name.to_string_lossy(),
-            std::process::id()
-        ));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(out.as_bytes())?;
-            f.sync_all()?;
-        }
-        if let Err(e) = std::fs::rename(&tmp, path) {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
-        }
-        if let Some(dir) = path.parent() {
-            if let Ok(d) = std::fs::File::open(if dir.as_os_str().is_empty() {
-                Path::new(".")
-            } else {
-                dir
-            }) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
+        write_atomic(path, &self.to_text())
     }
 
     /// Pushes every entry's line through the edit script from
@@ -328,14 +303,6 @@ impl SuppressStore {
         vc_obs::counter_inc(names::SUPPRESS_LINE_MAPPED);
         Some(SuppressMatch::NearbyLine)
     }
-}
-
-/// Splits a store file into (body, trailing checksum).
-fn split_checksum(text: &str) -> Option<(&str, u64)> {
-    let trimmed = text.strip_suffix('\n')?;
-    let body_end = trimmed.rfind('\n').map(|i| i + 1).unwrap_or(0);
-    let sum = u64::from_str_radix(trimmed[body_end..].strip_prefix("checksum ")?, 16).ok()?;
-    Some((&text[..body_end], sum))
 }
 
 #[cfg(test)]
@@ -417,6 +384,13 @@ mod tests {
         store.save(&path).unwrap();
         assert_eq!(SuppressStore::load(&path), store);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_save_removes_its_temp_file_and_counts() {
+        crate::incremental::assert_failed_save_cleans_up("suppress", |path| {
+            SuppressStore::default().save(path)
+        });
     }
 
     #[test]

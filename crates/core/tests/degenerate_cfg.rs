@@ -29,7 +29,6 @@ use vc_ir::{
     Program, //
 };
 use vc_pointer::{
-    AliasUses,
     Config as PtConfig,
     PointsTo, //
 };
@@ -52,7 +51,6 @@ fn grind(src: &str, budget: Budget) {
             ..PtConfig::default()
         },
     );
-    let _ = AliasUses::compute(&prog, &pts);
     let out = detect_program_hardened(
         &prog,
         DetectConfig::default(),
@@ -145,7 +143,6 @@ fn ten_thousand_block_straight_line_terminates_within_budget() {
         },
     );
     assert!(!pts.exhausted(), "the points-to graph here is tiny");
-    let _ = AliasUses::compute(&prog, &pts);
 
     let out = detect_program_hardened(
         &prog,

@@ -154,7 +154,8 @@ pub const HARDEN_DEGRADED_POINTER: &str = "harden.degraded.pointer";
 pub const HARDEN_DEGRADED_PRUNE: &str = "harden.degraded.prune";
 /// Rank stage degraded to input order.
 pub const HARDEN_DEGRADED_RANK: &str = "harden.degraded.rank";
-/// Snapshot saves that failed (temp file removed, stale snapshot kept).
+/// Store saves (snapshot, suppression store, lifecycle DB) that failed
+/// (temp file removed, the previous file kept).
 pub const HARDEN_SNAPSHOT_SAVE_FAILED: &str = "harden.snapshot_save_failed";
 
 // ---------------------------------------------------------------------------
@@ -188,7 +189,8 @@ pub const SERVE_UNITS_SWEPT: &str = "serve.units_swept";
 pub const SERVE_TRACE_ID: &str = "serve.trace_id";
 /// Gauge: warm unit-cache hit rate of the latest scan (hits / lookups).
 pub const SERVE_WARM_HIT_RATE: &str = "serve.warm_hit_rate";
-/// Gauge: dirty-closure size of the latest scan over total functions.
+/// Gauge: unit-cache misses of the latest scan over total functions (the
+/// share of the program re-detected).
 pub const SERVE_DIRTY_RATIO: &str = "serve.dirty_ratio";
 /// Per-op request-latency histograms: `serve.latency.<op>` (µs).
 pub const SERVE_LATENCY_PREFIX: &str = "serve.latency.";

@@ -8,6 +8,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
+# benches: `cargo test` never compiles them, so a signature change that
+# breaks a bench would otherwise go unnoticed.
+echo "==> cargo build --release --workspace --benches"
+cargo build --release --workspace --benches
+
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
