@@ -48,7 +48,6 @@ fn main() {
                 &PruneConfig::default(),
                 &RankConfig::default(),
             )
-            .expect("incremental analysis succeeds")
         });
     }
 

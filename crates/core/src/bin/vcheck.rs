@@ -81,6 +81,12 @@
 //! Exit status: 0 when no *new* findings, 1 when new findings are present
 //! (the CI gate), 2 on usage/load errors.
 //!
+//! `delta` and `history` walk the history forward once: each scanned
+//! revision gets the tree and blame a checkout at that commit would see,
+//! built by the same recovering front end as the main scan, so a broken
+//! past revision costs its broken functions (counted under
+//! `harden.parse_failures` and listed on stderr per commit), not the run.
+//!
 //! The `history` subcommand replays **every** commit and drives each
 //! finding through the born → persisting → churned → fixed | suppressed
 //! lifecycle (see DESIGN.md §12), printing one CSV row per track and
@@ -449,8 +455,7 @@ fn delta_main(args: impl Iterator<Item = String>) -> ! {
         &sconf,
         &baseline_set,
         obs.clone(),
-    )
-    .unwrap_or_else(|e| die(&format!("build failed: {e}")));
+    );
 
     if let Some(path) = &write_baseline {
         let store = SnapshotStore::from_findings(to, &outcome.to.findings);
@@ -459,6 +464,12 @@ fn delta_main(args: impl Iterator<Item = String>) -> ! {
             .unwrap_or_else(|e| die(&format!("{}: {e}", path.display())));
     }
 
+    for side in [&outcome.from, &outcome.to] {
+        print_failures(
+            &format!("vcheck delta: commit {}", side.commit.0),
+            &side.failures,
+        );
+    }
     let report = &outcome.report;
     eprintln!(
         "vcheck delta: {} new, {} fixed, {} persisting, {} churned, {} suppressed (commit {} -> \
@@ -521,8 +532,7 @@ fn history_main(args: impl Iterator<Item = String>) -> ! {
         &sconf,
         suppress,
         obs.clone(),
-    )
-    .unwrap_or_else(|e| die(&format!("build failed: {e}")));
+    );
 
     let db_path = db_path.unwrap_or_else(|| dir.join("findings.lifedb"));
     outcome
@@ -547,6 +557,9 @@ fn history_main(args: impl Iterator<Item = String>) -> ! {
         funnel.live,
         outcome.head.map(|c| c.0 as i64).unwrap_or(-1),
     );
+    for (commit, failures) in &outcome.failures {
+        print_failures(&format!("vcheck history: commit {}", commit.0), failures);
+    }
     print!("{}", tracks_to_csv(&outcome.db));
 
     if c.stats {
@@ -661,6 +674,20 @@ const SCAN_USAGE: &str = "Usage: vcheck <project-dir> [--define SYM]... [--all] 
     history --help`)\n       vcheck serve <project-dir> [options] (see \
     `vcheck serve --help`)";
 
+/// Lists a scan's failure records on stderr, each line prefixed `who:`.
+fn print_failures(who: &str, failures: &[FailureRecord]) {
+    if failures.is_empty() {
+        return;
+    }
+    eprintln!(
+        "{who}: {} unit(s) of work failed and were isolated:",
+        failures.len()
+    );
+    for f in failures {
+        eprintln!("{who}:   {f}");
+    }
+}
+
 fn scan_main(args: impl Iterator<Item = String>) -> ! {
     let mut top: Option<usize> = None;
     let mut json = false;
@@ -728,7 +755,6 @@ fn scan_main(args: impl Iterator<Item = String>) -> ! {
         let _g = obs.install();
         parse_mem.finish();
     }
-    record_front_end(&obs, &parse_errors, &recover_stats);
 
     // Every scan runs on the supervised executor. Under `--fail-fast`
     // isolation is off, so the first panic ends the scan and propagates
@@ -738,14 +764,7 @@ fn scan_main(args: impl Iterator<Item = String>) -> ! {
         ..c.sentinel(&dir, "scan.journal")
     };
     let mut analysis = run_sentinel(&prog, &project.repo, &opts, &sconf, obs.clone());
-    // Front-end failures go ahead of the analysis-stage ones, in input
-    // order: one splice instead of repeated `insert(0, ..)` (which is both
-    // quadratic and order-reversing).
-    let front_end_failures = parse_errors.iter().map(FailureRecord::from_build_error);
-    analysis
-        .report
-        .failures
-        .splice(0..0, front_end_failures.collect::<Vec<_>>());
+    record_front_end(&obs, &parse_errors, &recover_stats, &mut analysis.report);
     eprintln!(
         "vcheck: {} unused definitions, {} cross-scope, {} pruned, {} reported",
         analysis.raw_candidates,
@@ -760,15 +779,7 @@ fn scan_main(args: impl Iterator<Item = String>) -> ! {
             deadline_ms.unwrap_or_default()
         );
     }
-    if !analysis.report.failures.is_empty() {
-        eprintln!(
-            "vcheck: {} unit(s) of work failed and were isolated:",
-            analysis.report.failures.len()
-        );
-        for f in &analysis.report.failures {
-            eprintln!("vcheck:   {f}");
-        }
-    }
+    print_failures("vcheck", &analysis.report.failures);
 
     let mut report = analysis.report.clone();
     if let Some(n) = top {

@@ -41,7 +41,7 @@ use std::collections::{
 };
 
 use vc_ir::{
-    program::BuildError,
+    program::ParseCache,
     Program, //
 };
 use vc_obs::{
@@ -57,16 +57,20 @@ use vc_vcs::{
 
 use crate::{
     candidate::Scenario,
+    harden::FailureRecord,
+    lifedb::CommitAgg,
     pipeline::{
-        run_at_commit,
-        Options,
-        RevisionAnalysis, //
+        record_front_end,
+        run_scoped,
+        Options, //
     },
     rank::Ranked,
     report::csv_escape,
     sentinel::{
         fnv1a,
+        ScanScope,
         SentinelConfig,
+        UnitCache,
         FNV_SEED, //
     },
 };
@@ -591,36 +595,71 @@ pub fn classify(
     DeltaReport { rows }
 }
 
-/// One side of a differential scan: the revision analysis plus its
-/// fingerprinted findings and snapshot sources.
+/// One scanned revision. Its program and analysis are dropped before the
+/// walk builds the next revision.
 #[derive(Clone, Debug)]
 pub struct RevScan {
-    /// The pipeline run at the revision.
-    pub rev: RevisionAnalysis,
-    /// Fingerprinted findings of that run.
+    /// The scanned commit.
+    pub commit: CommitId,
+    /// Fingerprinted findings of the revision.
     pub findings: Vec<Finding>,
+    /// The revision's failure records: one per function the front end
+    /// could not build, then the isolated analysis failures.
+    pub failures: Vec<FailureRecord>,
     /// The revision's file contents (for line mapping and baselines).
     pub sources: HashMap<String, String>,
+    /// The revision's candidate funnel.
+    pub agg: CommitAgg,
 }
 
-/// Scans one revision through the sentinel executor and fingerprints its
-/// findings.
-pub fn scan_revision(
+/// Scans the planned revisions — each a commit and its executor
+/// configuration (a journal suffix of its own), sorted by commit, repeats
+/// allowed — in one forward replay of the history, handing each
+/// [`RevScan`] to `visit` in plan order. Each revision gets the tree and blame a checkout at its
+/// commit would see, the recovering front end of `vcheck <dir>`, and one
+/// [`ParseCache`] and [`UnitCache`] carried across revisions, so functions
+/// unchanged since the last scanned revision resolve from the cache.
+pub fn walk(
     repo: &Repository,
-    commit: CommitId,
+    plans: &[(CommitId, SentinelConfig)],
     defines: &[String],
     opts: &Options,
-    sconf: &SentinelConfig,
-    obs: ObsSession,
-) -> Result<RevScan, BuildError> {
-    let rev = run_at_commit(repo, commit, defines, opts, sconf, obs)?;
-    let findings = fingerprint_ranked(&rev.prog, &rev.analysis.ranked);
-    let sources = repo.snapshot_at(commit);
-    Ok(RevScan {
-        rev,
-        findings,
-        sources,
-    })
+    obs: &ObsSession,
+    mut visit: impl FnMut(RevScan),
+) {
+    let Some(last) = plans.last().map(|p| p.0) else {
+        return;
+    };
+    let _guard = obs.install();
+    let mut parse_cache = ParseCache::default();
+    let mut units = UnitCache::default();
+    let mut next = plans.iter().peekable();
+    repo.replay(last, |repo_at, tree| {
+        let commit = repo_at.head().expect("the replay visits each commit");
+        while let Some((_, sconf)) = next.next_if(|p| p.0 == commit) {
+            let sources: Vec<(&str, &str)> = tree.iter().map(|(p, c)| (*p, *c)).collect();
+            let run_span = obs.span("pipeline.run", "pipeline");
+            let (prog, errors, stats) =
+                Program::build_recovering_cached(&sources, defines, &mut parse_cache);
+            let scope = ScanScope {
+                cache: Some(&mut units),
+                ..ScanScope::default()
+            };
+            let mut analysis =
+                run_scoped(&prog, repo_at, opts, sconf, scope, obs.clone(), run_span);
+            record_front_end(obs, &errors, &stats, &mut analysis.report);
+            visit(RevScan {
+                commit,
+                findings: fingerprint_ranked(&prog, &analysis.ranked),
+                sources: sources
+                    .iter()
+                    .map(|(p, c)| (p.to_string(), c.to_string()))
+                    .collect(),
+                agg: CommitAgg::of(commit, &analysis),
+                failures: analysis.report.failures,
+            });
+        }
+    });
 }
 
 /// The result of a full differential scan.
@@ -648,9 +687,9 @@ pub fn side_sentinel(sconf: &SentinelConfig, side: &str) -> SentinelConfig {
     out
 }
 
-/// Runs the full differential scan: both revisions through the sentinel
-/// executor (journals suffixed `.from` / `.to`), classification, and
-/// `delta.*` metrics recorded into `obs`.
+/// Runs the full differential scan: one [`walk`] up to the later
+/// revision scans both sides (journals suffixed `.from` / `.to`), then
+/// classification, with `delta.*` metrics recorded into `obs`.
 pub fn delta_scan(
     repo: &Repository,
     from: CommitId,
@@ -660,26 +699,17 @@ pub fn delta_scan(
     sconf: &SentinelConfig,
     baseline: &HashSet<u64>,
     obs: ObsSession,
-) -> Result<DeltaOutcome, BuildError> {
+) -> DeltaOutcome {
     let _guard = obs.install();
     let span = obs.span("delta.scan", "delta");
     let delta_mem = vc_obs::MemScope::enter(vc_obs::alloc::SCOPE_DELTA);
-    let from_scan = scan_revision(
-        repo,
-        from,
-        defines,
-        opts,
-        &side_sentinel(sconf, "from"),
-        obs.clone(),
-    )?;
-    let to_scan = scan_revision(
-        repo,
-        to,
-        defines,
-        opts,
-        &side_sentinel(sconf, "to"),
-        obs.clone(),
-    )?;
+    // The walk scans in commit order; a backwards delta scans `to` first.
+    let mut plans = [(from, "from"), (to, "to")].map(|(c, side)| (c, side_sentinel(sconf, side)));
+    plans.sort_by_key(|p| p.0);
+    let mut scans = Vec::with_capacity(2);
+    walk(repo, &plans, defines, opts, &obs, |scan| scans.push(scan));
+    let [a, b]: [RevScan; 2] = scans.try_into().expect("the walk scans both sides");
+    let (from_scan, to_scan) = if to < from { (b, a) } else { (a, b) };
     let report = classify(
         &from_scan.findings,
         &to_scan.findings,
@@ -690,11 +720,11 @@ pub fn delta_scan(
     report.record_metrics();
     delta_mem.finish();
     span.end();
-    Ok(DeltaOutcome {
+    DeltaOutcome {
         from: from_scan,
         to: to_scan,
         report,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -727,15 +757,17 @@ mod tests {
     }
 
     fn scan(repo: &Repository, at: CommitId) -> RevScan {
-        scan_revision(
+        let plan = (at, SentinelConfig::default());
+        let mut scan = None;
+        walk(
             repo,
-            at,
+            &[plan],
             &[],
             &Options::paper(),
-            &SentinelConfig::default(),
-            ObsSession::new(),
-        )
-        .unwrap()
+            &ObsSession::new(),
+            |s| scan = Some(s),
+        );
+        scan.expect("the walk scans its planned revision")
     }
 
     #[test]
@@ -996,14 +1028,60 @@ mod tests {
             &SentinelConfig::default(),
             &HashSet::new(),
             obs.clone(),
-        )
-        .unwrap();
+        );
         assert_eq!(outcome.report.count(DeltaStatus::New), 0);
         assert_eq!(outcome.report.count(DeltaStatus::Fixed), 0);
         assert_eq!(outcome.report.count(DeltaStatus::Persisting), 2);
         assert_eq!(obs.registry.counter(names::DELTA_PERSISTING), 2);
         assert_eq!(obs.registry.counter(names::DELTA_NEW), 0);
         assert_eq!(obs.registry.counter(names::DELTA_FIXED), 0);
+    }
+
+    #[test]
+    fn resume_replays_the_units_the_cache_resolved() {
+        let mut repo = Repository::new();
+        let dev = repo.add_author("dev");
+        let v1 = format!("{}{}", bug_fn("alpha"), clean_fn("beta"));
+        let c1 = repo.commit(dev, 1, "v1", vec![write("a.c", &v1)]);
+        // The second revision adds a file: every function of a.c is
+        // unchanged, so the `to` side resolves them from the unit cache.
+        let c2 = repo.commit(dev, 2, "v2", vec![write("b.c", &bug_fn("gamma"))]);
+        let journal =
+            std::env::temp_dir().join(format!("vc-delta-hits-{}.journal", std::process::id()));
+        let run = |resume: bool| {
+            let sconf = SentinelConfig {
+                journal: Some(journal.clone()),
+                resume,
+                ..SentinelConfig::default()
+            };
+            let obs = ObsSession::new();
+            let outcome = delta_scan(
+                &repo,
+                c1,
+                c2,
+                &[],
+                &Options::paper(),
+                &sconf,
+                &HashSet::new(),
+                obs.clone(),
+            );
+            (outcome.report.to_csv(), obs.registry.snapshot())
+        };
+        let (fresh, first) = run(false);
+        assert!(
+            first.counter(names::SENTINEL_UNITS_SCANNED) < first.counter(names::SENTINEL_UNITS),
+            "the second revision must reuse a.c's functions"
+        );
+        let (resumed, snap) = run(true);
+        assert_eq!(resumed, fresh);
+        assert_eq!(snap.counter(names::SENTINEL_UNITS_SCANNED), 0);
+        assert_eq!(
+            snap.counter(names::SENTINEL_UNITS_REPLAYED),
+            snap.counter(names::SENTINEL_UNITS)
+        );
+        for side in ["from", "to"] {
+            let _ = std::fs::remove_file(format!("{}.{side}", journal.display()));
+        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Whole-history lifecycle replay (`vcheck history`).
 //!
 //! [`history_scan`] replays **every commit** of a repository through the
-//! scan pipeline — each revision runs under the sentinel executor with its
-//! own journal suffix (`.c<N>`), so a replay is parallel, crash-safe, and
-//! resumable — and threads the per-revision findings through the
+//! scan pipeline in one forward [`walk`](crate::delta) — each revision
+//! runs under the sentinel executor with its own journal suffix (`.c<N>`),
+//! so a replay is parallel, crash-safe, and resumable, and a function
+//! unchanged since the previous commit resolves from the walk's unit
+//! cache — and threads the per-revision findings through the
 //! [`classify`](crate::delta::classify) matcher to follow each
 //! drift-stable fingerprint from the commit it was born at to the commit
 //! it was fixed, suppressed, or last seen at. The event stream and the
@@ -27,7 +29,6 @@ use std::collections::{
     HashSet, //
 };
 
-use vc_ir::program::BuildError;
 use vc_obs::{
     names,
     ObsSession, //
@@ -40,23 +41,22 @@ use vc_vcs::{
 use crate::{
     delta::{
         classify,
-        scan_revision,
         side_sentinel,
+        walk,
         DeltaRow,
         DeltaStatus,
         Finding,
         Fingerprint,
         RevScan, //
     },
+    harden::FailureRecord,
     lifedb::{
-        CommitAgg,
         FinalState,
         LifeDb,
         LifeEvent,
         LifeEventKind, //
     },
     pipeline::Options,
-    prune::PruneReason,
     report::csv_escape,
     sentinel::SentinelConfig,
     suppress::{
@@ -77,6 +77,9 @@ pub struct HistoryOutcome {
     pub head: Option<CommitId>,
     /// Number of commits replayed.
     pub commits: usize,
+    /// Each commit's failure records ([`RevScan::failures`]), for the
+    /// commits that have any.
+    pub failures: Vec<(CommitId, Vec<FailureRecord>)>,
 }
 
 /// One track summarised for the CLI table: born-at, last-seen, final
@@ -199,27 +202,25 @@ pub fn history_scan(
     sconf: &SentinelConfig,
     mut suppress: SuppressStore,
     obs: ObsSession,
-) -> Result<HistoryOutcome, BuildError> {
+) -> HistoryOutcome {
     let _guard = obs.install();
     let span = obs.span("history.scan", "history");
     let mem = vc_obs::MemScope::enter(vc_obs::alloc::SCOPE_HISTORY);
 
-    let commits: Vec<CommitId> = repo.commits().iter().map(|c| c.id).collect();
+    let plans: Vec<_> = repo
+        .commits()
+        .iter()
+        .map(|c| (c.id, side_sentinel(sconf, &format!("c{}", c.id.0))))
+        .collect();
     let mut db = LifeDb::default();
     // Current fingerprint → track id (born fingerprint) of each live track.
     let mut live: HashMap<u64, Fingerprint> = HashMap::new();
     let mut prev: Option<RevScan> = None;
+    let mut failures = Vec::new();
 
-    for &commit in &commits {
+    walk(repo, &plans, defines, opts, &obs, |mut scan| {
+        let commit = scan.commit;
         vc_obs::counter_inc(names::LIFE_COMMITS);
-        let scan = scan_revision(
-            repo,
-            commit,
-            defines,
-            opts,
-            &side_sentinel(sconf, &format!("c{}", commit.0)),
-            obs.clone(),
-        )?;
 
         // Lifecycle events: the first commit births everything; later
         // commits ride the delta classifier, using `old_fingerprint` to
@@ -273,26 +274,12 @@ pub fn history_scan(
             }
         }
 
-        // The commit's candidate funnel, prune patterns broken out.
-        let analysis = &scan.rev.analysis;
-        db.aggs.push(CommitAgg {
-            commit,
-            raw: analysis.raw_candidates as u64,
-            cross_scope: analysis.cross_scope_candidates as u64,
-            pruned: PruneReason::ALL
-                .iter()
-                .map(|&r| {
-                    (
-                        r.label().to_string(),
-                        analysis.prune_outcome.count(r) as u64,
-                    )
-                })
-                .collect(),
-            reported: analysis.ranked.len() as u64,
-        });
-
+        db.aggs.push(scan.agg.clone());
+        if !scan.failures.is_empty() {
+            failures.push((commit, std::mem::take(&mut scan.failures)));
+        }
         prev = Some(scan);
-    }
+    });
 
     let funnel = db.funnel();
     vc_obs::counter_add(names::LIFE_SUPPRESSED, funnel.suppressed);
@@ -300,12 +287,13 @@ pub fn history_scan(
 
     mem.finish();
     span.end();
-    Ok(HistoryOutcome {
+    HistoryOutcome {
         db,
         suppress,
-        head: commits.last().copied(),
-        commits: commits.len(),
-    })
+        head: repo.head(),
+        commits: plans.len(),
+        failures,
+    }
 }
 
 /// Applies one classified row to the track state and the event stream.
@@ -399,7 +387,6 @@ mod tests {
             SuppressStore::default(),
             obs.clone(),
         )
-        .unwrap()
     }
 
     #[test]
@@ -507,15 +494,17 @@ mod tests {
         repo.commit(dev, 2, "pad", vec![write("a.c", &padded)]);
 
         // Seed the store from the first revision's finding.
-        let first = crate::delta::scan_revision(
+        let plan = (c1, SentinelConfig::default());
+        let mut first = None;
+        walk(
             &repo,
-            c1,
+            &[plan],
             &[],
             &Options::paper(),
-            &SentinelConfig::default(),
-            ObsSession::new(),
-        )
-        .unwrap();
+            &ObsSession::new(),
+            |s| first = Some(s),
+        );
+        let first = first.expect("the walk scans c1");
         assert_eq!(first.findings.len(), 1);
         let f = &first.findings[0];
         let store = SuppressStore {
@@ -536,8 +525,7 @@ mod tests {
             &SentinelConfig::default(),
             store,
             obs.clone(),
-        )
-        .unwrap();
+        );
         let funnel = out.db.funnel();
         assert_eq!(funnel.suppressed, 1, "{:#?}", out.db.events);
         assert_eq!(funnel.live, 0);
@@ -569,8 +557,7 @@ mod tests {
                 &sconf,
                 SuppressStore::default(),
                 ObsSession::new(),
-            )
-            .unwrap();
+            );
             texts.push(out.db.to_text());
         }
         assert_eq!(texts[0], texts[1], "lifedb bytes must not depend on --jobs");

@@ -3,10 +3,11 @@
 //! The paper integrates ValueCheck into development by analysing "only the
 //! changed functions and the affected files in a commit", bringing per-commit
 //! cost under five seconds. This module does the same: given a commit, it
-//! rebuilds the program from the snapshot at that commit and runs the
-//! ordinary pipeline with the [`sentinel`](crate::sentinel) executor scoped
-//! to the functions defined in the files the commit touched — the same
-//! fault isolation, summaries, and funnel accounting as a full scan.
+//! builds the program from the snapshot at that commit and runs the
+//! ordinary pipeline against the history as of the commit, with the
+//! [`sentinel`](crate::sentinel) executor scoped to the functions defined
+//! in the files the commit touched — the same recovering front end, fault
+//! isolation, summaries, and funnel accounting as a full scan.
 //!
 //! [`SnapshotStore`] persists a run's findings to disk so a follow-up run
 //! can diff against them. The store is written by a tool that
@@ -28,7 +29,6 @@ use std::{
 };
 
 use vc_ir::{
-    program::BuildError,
     FileId,
     Program, //
 };
@@ -40,6 +40,7 @@ use vc_vcs::{
 
 use crate::{
     pipeline::{
+        record_front_end,
         run_scoped,
         Options, //
     },
@@ -48,9 +49,12 @@ use crate::{
         RankConfig,
         Ranked, //
     },
+    report::Report,
     sentinel::{
+        fnv1a_bytes,
         ScanScope,
-        SentinelConfig, //
+        SentinelConfig,
+        FNV_SEED, //
     },
 };
 
@@ -114,34 +118,16 @@ pub struct SnapshotStore {
 }
 
 impl SnapshotStore {
-    /// Loads a store from disk. **Never fails**: a missing file is a normal
-    /// cold start; any other defect degrades to a cold (empty) store, so
-    /// the caller transparently rebuilds from scratch. Defects are counted
-    /// by kind — a failed content checksum (bit rot, torn concurrent
-    /// write) bumps `harden.snapshot_corrupt`, while a truncated,
-    /// malformed, or version-mismatched file bumps
-    /// `harden.snapshot_recovered`.
+    /// Loads a store from disk; **never fails** ([`load_checksummed`]:
+    /// defects degrade to a cold store under `harden.snapshot_corrupt` or
+    /// `harden.snapshot_recovered`).
     pub fn load(path: &Path) -> SnapshotStore {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(_) => return SnapshotStore::default(), // cold start
-        };
-        let Some((body, sum)) = split_checksum(&text) else {
-            // No checksum line: a pre-v2 file or one truncated mid-write.
-            vc_obs::counter_inc(vc_obs::names::HARDEN_SNAPSHOT_RECOVERED);
-            return SnapshotStore::default();
-        };
-        if content_hash(body) != sum {
-            vc_obs::counter_inc(vc_obs::names::HARDEN_SNAPSHOT_CORRUPT);
-            return SnapshotStore::default();
-        }
-        match Self::parse(body) {
-            Some(store) => store,
-            None => {
-                vc_obs::counter_inc(vc_obs::names::HARDEN_SNAPSHOT_RECOVERED);
-                SnapshotStore::default()
-            }
-        }
+        load_checksummed(
+            path,
+            vc_obs::names::HARDEN_SNAPSHOT_CORRUPT,
+            vc_obs::names::HARDEN_SNAPSHOT_RECOVERED,
+            Self::parse,
+        )
     }
 
     fn parse(text: &str) -> Option<SnapshotStore> {
@@ -223,23 +209,46 @@ impl SnapshotStore {
 }
 
 /// FNV-1a over a text blob — the content checksum shared by the on-disk
-/// stores (snapshot, suppression, lifecycle DB).
+/// stores (snapshot, suppression, lifecycle DB); no field separator.
 pub(crate) fn content_hash(text: &str) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in text.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    fnv1a_bytes(FNV_SEED, text.as_bytes())
 }
 
 /// Splits a store file into (body, trailing checksum). `None` when the last
 /// line is not a well-formed `checksum <hex16>` record.
-pub(crate) fn split_checksum(text: &str) -> Option<(&str, u64)> {
+fn split_checksum(text: &str) -> Option<(&str, u64)> {
     let trimmed = text.strip_suffix('\n')?;
     let body_end = trimmed.rfind('\n').map(|i| i + 1).unwrap_or(0);
     let sum = u64::from_str_radix(trimmed[body_end..].strip_prefix("checksum ")?, 16).ok()?;
     Some((&text[..body_end], sum))
+}
+
+/// Reads a store file, the loader shared by the on-disk stores. A missing
+/// file is a silent cold start (`T::default()`); a failed checksum (bit
+/// rot, torn write) counts `corrupt`, and a missing checksum line or a
+/// body `parse` rejects (truncated, malformed, other version) counts
+/// `recovered`, each degrading to the default.
+pub(crate) fn load_checksummed<T: Default>(
+    path: &Path,
+    corrupt: &str,
+    recovered: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> T {
+    let Ok(text) = std::fs::read_to_string(path) else {
+        return T::default();
+    };
+    let Some((body, sum)) = split_checksum(&text) else {
+        vc_obs::counter_inc(recovered);
+        return T::default();
+    };
+    if content_hash(body) != sum {
+        vc_obs::counter_inc(corrupt);
+        return T::default();
+    }
+    parse(body).unwrap_or_else(|| {
+        vc_obs::counter_inc(recovered);
+        T::default()
+    })
 }
 
 /// Writes a store file **atomically**, the writer shared by the on-disk
@@ -285,7 +294,12 @@ pub(crate) fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Analyses the snapshot at `commit`, detecting only in its changed files.
+/// Analyses `commit` with its own tree and blame, detecting only in the
+/// files it wrote. The tree is built with the recovering front end (a
+/// function that does not parse is counted under `harden.parse_failures`
+/// and skipped), then [`analyze_commit_in`] runs against the history as of
+/// `commit`: the repository itself at the head (the usual CI case), a
+/// [`checkout`](Repository::checkout) for a past commit.
 ///
 /// Program-wide context (signatures, call sites, peer statistics) still
 /// comes from the full snapshot — detection is local, the supporting indexes
@@ -297,24 +311,30 @@ pub fn analyze_commit(
     defines: &[String],
     prune_config: &PruneConfig,
     rank_config: &RankConfig,
-) -> Result<CommitFindings, BuildError> {
+) -> CommitFindings {
     let tree = repo.snapshot_at(commit);
     let mut sources: Vec<(&str, &str)> =
         tree.iter().map(|(p, c)| (p.as_str(), c.as_str())).collect();
-    sources.sort_by_key(|(p, _)| p.to_string());
-    let prog = Program::build(&sources, defines)?;
-    Ok(analyze_commit_in(
-        &prog,
-        repo,
-        commit,
-        prune_config,
-        rank_config,
-    ))
+    sources.sort_unstable();
+    let (prog, errors, stats) = Program::build_recovering(&sources, defines);
+    let obs = ObsSession::current_or_new();
+    let _guard = obs.install();
+    // `CommitFindings` carries no report: the counters record the loss.
+    record_front_end(&obs, &errors, &stats, &mut Report::default());
+    let past;
+    let repo_at = if repo.head() == Some(commit) {
+        repo
+    } else {
+        past = repo.checkout(commit);
+        &past
+    };
+    analyze_commit_in(&prog, repo_at, commit, prune_config, rank_config)
 }
 
 /// The incremental fast path: analyses `commit` against a program already
 /// built for that snapshot (the equivalent of the paper's pre-compiled
-/// bitcode). The executor runs only the changed files' functions, each
+/// bitcode), with `repo` the history as of `commit` (its blame is the
+/// commit's). The executor runs only the changed files' functions, each
 /// isolated and producing its summary once; pointer facts are resolved on
 /// demand per indirect-call candidate; peer statistics are scoped (via
 /// redundant-summary elimination) to the callees and signatures the
@@ -454,12 +474,40 @@ mod tests {
             &[],
             &PruneConfig::default(),
             &RankConfig::default(),
-        )
-        .unwrap();
+        );
         assert_eq!(findings.changed_files, vec!["a.c".to_string()]);
         assert_eq!(findings.analysed_functions, 1);
         assert_eq!(findings.findings.len(), 1);
         assert_eq!(findings.findings[0].item.candidate.var_name, "x");
+    }
+
+    #[test]
+    fn a_past_commit_is_blamed_as_of_that_commit() {
+        // Alice's overwrite is single-author at c1. Bob's later prepend
+        // shifts every line: blaming c1's program against the head
+        // history would pin line 2 on bob and report a cross-scope `x`.
+        let mut repo = Repository::new();
+        let alice = repo.add_author("alice");
+        let bob = repo.add_author("bob");
+        let v1 = "void f(void) {\nint x = 1;\nx = 2;\nuse(x);\n}\n";
+        let c1 = repo.commit(alice, 1, "init", vec![write("a.c", v1)]);
+        let v2 = format!("int pad1;\nint pad2;\n{v1}");
+        repo.commit(bob, 2, "pad", vec![write("a.c", &v2)]);
+        let vars = |repo: &Repository| -> Vec<String> {
+            analyze_commit(
+                repo,
+                c1,
+                &[],
+                &PruneConfig::default(),
+                &RankConfig::default(),
+            )
+            .findings
+            .iter()
+            .map(|r| r.item.candidate.var_name.clone())
+            .collect()
+        };
+        assert_eq!(vars(&repo), vars(&repo.checkout(c1)));
+        assert!(vars(&repo).is_empty());
     }
 
     #[test]
@@ -494,7 +542,6 @@ mod tests {
                 &PruneConfig::default(),
                 &RankConfig::default(),
             )
-            .unwrap()
         };
         assert_eq!(vars(&run()), ["x", "y"]);
 
@@ -531,8 +578,7 @@ mod tests {
             &[],
             &PruneConfig::default(),
             &RankConfig::default(),
-        )
-        .unwrap();
+        );
         assert!(findings.findings.is_empty());
     }
 
@@ -690,14 +736,7 @@ mod tests {
         // version gate — not the checksum — must reject it.
         let path = temp_path("legacy-v2");
         let body = "valuecheck-snapshot v2\ncommit 3\nfinding f\tx\t9\n";
-        let sum = {
-            let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-            for &b in body.as_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            h
-        };
+        let sum = content_hash(body);
         std::fs::write(&path, format!("{body}checksum {sum:016x}\n")).unwrap();
         let obs = vc_obs::ObsSession::new();
         let loaded = {
@@ -740,8 +779,7 @@ mod tests {
             &[],
             &PruneConfig::default(),
             &RankConfig::default(),
-        )
-        .unwrap();
+        );
         assert_eq!(f.analysed_functions, 1);
     }
 }

@@ -49,9 +49,11 @@ use crate::{
     delta::Fingerprint,
     incremental::{
         content_hash,
-        split_checksum,
+        load_checksummed,
         write_atomic, //
     },
+    pipeline::Analysis,
+    prune::PruneReason,
 };
 
 /// On-disk format version of the lifecycle DB.
@@ -135,6 +137,22 @@ pub struct CommitAgg {
     pub pruned: Vec<(String, u64)>,
     /// Findings reported at the commit.
     pub reported: u64,
+}
+
+impl CommitAgg {
+    /// The funnel of one pipeline run at `commit`.
+    pub fn of(commit: CommitId, analysis: &Analysis) -> CommitAgg {
+        CommitAgg {
+            commit,
+            raw: analysis.raw_candidates as u64,
+            cross_scope: analysis.cross_scope_candidates as u64,
+            pruned: PruneReason::ALL
+                .iter()
+                .map(|&r| (r.label().to_string(), analysis.pruned_by(r) as u64))
+                .collect(),
+            reported: analysis.ranked.len() as u64,
+        }
+    }
 }
 
 /// A track's final state, per the last event on it.
@@ -367,31 +385,16 @@ impl LifeDb {
         write_atomic(path, &self.to_text())
     }
 
-    /// Loads a DB from disk. **Never fails**: missing → empty; a checksum
-    /// mismatch degrades to empty under `harden.snapshot_corrupt`, any
-    /// other defect under `harden.snapshot_recovered` (the DB shares the
-    /// snapshot store's hardening counters — same format family, same
-    /// failure modes).
+    /// Loads a DB from disk; **never fails** (defects degrade to empty
+    /// under the snapshot store's `harden.snapshot_corrupt` or
+    /// `harden.snapshot_recovered` — same format family, same failures).
     pub fn load(path: &Path) -> LifeDb {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(_) => return LifeDb::default(),
-        };
-        let Some((body, sum)) = split_checksum(&text) else {
-            vc_obs::counter_inc(names::HARDEN_SNAPSHOT_RECOVERED);
-            return LifeDb::default();
-        };
-        if content_hash(body) != sum {
-            vc_obs::counter_inc(names::HARDEN_SNAPSHOT_CORRUPT);
-            return LifeDb::default();
-        }
-        match Self::parse(body) {
-            Some(db) => db,
-            None => {
-                vc_obs::counter_inc(names::HARDEN_SNAPSHOT_RECOVERED);
-                LifeDb::default()
-            }
-        }
+        load_checksummed(
+            path,
+            names::HARDEN_SNAPSHOT_CORRUPT,
+            names::HARDEN_SNAPSHOT_RECOVERED,
+            Self::parse,
+        )
     }
 
     fn parse(text: &str) -> Option<LifeDb> {

@@ -188,8 +188,8 @@ pub fn run_sentinel(
 
 /// The one production pipeline: the sentinel executor over `scope`, then
 /// the shared stages. Runs inside the caller's open `pipeline.run` span
-/// with `obs` installed — the serve engine opens that span before parsing
-/// so its request trace nests the front end under it.
+/// with `obs` installed — the serve engine and the revision walk open that
+/// span before parsing so the front end nests under it.
 pub(crate) fn run_scoped(
     prog: &Program,
     repo: &Repository,
@@ -204,10 +204,17 @@ pub(crate) fn run_scoped(
     })
 }
 
-/// Counts what the lenient front end lost — `harden.parse_failures` and
-/// the `recover.*` counters — the same way for batch scans and serve
-/// requests.
-pub fn record_front_end(obs: &ObsSession, errors: &[BuildError], stats: &RecoverStats) {
+/// Accounts for what the lenient front end lost, the same way for batch
+/// scans, serve requests and revision walks: counts
+/// `harden.parse_failures` and the `recover.*` counters, and puts one
+/// failure record per build error ahead of the analysis-stage ones, in
+/// input order.
+pub fn record_front_end(
+    obs: &ObsSession,
+    errors: &[BuildError],
+    stats: &RecoverStats,
+    report: &mut Report,
+) {
     use vc_obs::names;
     for (name, n) in [
         (names::HARDEN_PARSE_FAILURES, errors.len() as u64),
@@ -219,46 +226,11 @@ pub fn record_front_end(obs: &ObsSession, errors: &[BuildError], stats: &Recover
     ] {
         obs.registry.add(name, n);
     }
-}
-
-/// A pipeline run against one historical revision: the program built from
-/// that revision's snapshot plus the analysis of it. The differential
-/// scanner ([`crate::delta`]) runs one of these per side.
-#[derive(Clone, Debug)]
-pub struct RevisionAnalysis {
-    /// The analysed commit.
-    pub commit: vc_vcs::CommitId,
-    /// The program built from the commit's snapshot (sources sorted by
-    /// path, so unit order — and report bytes — are revision-determined).
-    pub prog: Program,
-    /// The pipeline result.
-    pub analysis: Analysis,
-}
-
-/// Runs the sentinel pipeline against the snapshot at `commit`: the program
-/// is rebuilt from that revision's tree and authorship/blame run against the
-/// history truncated at the commit, exactly as a checkout at that point
-/// would have seen it.
-pub fn run_at_commit(
-    repo: &Repository,
-    commit: vc_vcs::CommitId,
-    defines: &[String],
-    opts: &Options,
-    sconf: &SentinelConfig,
-    obs: ObsSession,
-) -> Result<RevisionAnalysis, vc_ir::program::BuildError> {
-    let tree = repo.snapshot_at(commit);
-    let mut sources: Vec<(&str, &str)> =
-        tree.iter().map(|(p, c)| (p.as_str(), c.as_str())).collect();
-    sources.sort_by_key(|(p, _)| p.to_string());
-    let prog = Program::build(&sources, defines)?;
-    let repo_at = repo.checkout(commit);
-    let analysis = run_sentinel(&prog, &repo_at, opts, sconf, obs);
-    Ok(RevisionAnalysis {
-        commit,
-        prog,
-        analysis,
-    })
+    // One splice rather than repeated `insert(0, ..)`, which would be
+    // quadratic and reverse the order.
+    report
+        .failures
+        .splice(0..0, errors.iter().map(FailureRecord::from_build_error));
 }
 
 /// The `stage.detect` span around `detect`, then everything downstream of

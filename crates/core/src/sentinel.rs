@@ -223,14 +223,17 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// (journal checksums, unit-cache keys, serve tree checksums, finding
 /// fingerprints).
 pub(crate) fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
+    // Field separator so ("ab","c") != ("a","bc").
+    fnv1a_bytes(fnv1a_bytes(h, bytes), &[0xFF])
+}
+
+/// The FNV-1a 64-bit loop itself: `bytes` folded into `h`, no separator.
+pub(crate) fn fnv1a_bytes(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
-    // Field separator so ("ab","c") != ("a","bc").
-    h ^= 0xFF;
-    h.wrapping_mul(0x0000_0100_0000_01B3)
+    h
 }
 
 pub(crate) const FNV_SEED: u64 = 0xCBF2_9CE4_8422_2325;
@@ -454,6 +457,16 @@ pub enum UnitRecord {
 }
 
 impl UnitRecord {
+    /// The record of a unit of `prog` that completed with `candidates`.
+    fn ok(prog: &Program, unit: usize, exhausted: bool, candidates: &[Candidate]) -> UnitRecord {
+        UnitRecord::Ok {
+            unit,
+            func: prog.func(FuncId(unit as u32)).name.clone(),
+            exhausted,
+            candidates: candidates.to_vec(),
+        }
+    }
+
     /// The unit key.
     pub fn unit(&self) -> usize {
         match self {
@@ -966,12 +979,7 @@ impl Shared<'_> {
                     candidates,
                     exhausted,
                     ..
-                } => UnitRecord::Ok {
-                    unit,
-                    func: self.prog.func(FuncId(unit as u32)).name.clone(),
-                    exhausted: *exhausted,
-                    candidates: candidates.clone(),
-                },
+                } => UnitRecord::ok(self.prog, unit, *exhausted, candidates),
                 UnitOutcome::Fail(failure) => UnitRecord::Fail {
                     unit,
                     failure: failure.clone(),
@@ -1351,10 +1359,16 @@ pub(crate) fn detect_program_scoped(
             func: fid,
             ..c.clone()
         });
+        let candidates: Vec<Candidate> = candidates.collect();
+        // A hit is a completed unit: journal it, so a resume replays it
+        // instead of rescanning.
+        if let Some(j) = &journal {
+            let _ = lock(j).append(&UnitRecord::ok(prog, unit, hit.exhausted, &candidates));
+        }
         merged.insert(
             unit,
             UnitOutcome::Ok {
-                candidates: candidates.collect(),
+                candidates,
                 exhausted: hit.exhausted,
                 summary: Some(summary),
             },
@@ -1848,6 +1862,13 @@ mod tests {
         let handle = thread::spawn({
             let p = Program::build(&[("a.c", SRC)], &[]).unwrap();
             let session = session.clone();
+            // The requeued attempt of `f` waits out a backoff far longer
+            // than the disarm below takes, so it runs disarmed.
+            let conf = SentinelConfig {
+                backoff_base: Duration::from_millis(500),
+                backoff_cap: Duration::from_millis(500),
+                ..sconf(2)
+            };
             move || {
                 let _g = session.install();
                 let _fp2 = plan.install();
@@ -1858,16 +1879,27 @@ mod tests {
                         &p,
                         DetectConfig::default(),
                         HardenConfig::default(),
-                        &sconf(2),
+                        &conf,
                     )
                 }));
                 out
             }
         });
-        // Disarm shortly after launch; the failpoint only needs to fire
-        // once (`hit` is checked per unit pickup, and unit `f` retries
-        // after the worker is reaped).
-        thread::sleep(Duration::from_millis(5));
+        // Disarm once the failpoint has killed a worker (`hit` is checked
+        // per unit pickup, and unit `f` retries after the worker is
+        // reaped).
+        let waited = Instant::now();
+        while session
+            .registry
+            .counter(vc_obs::names::SENTINEL_WORKER_REPLACED)
+            == 0
+        {
+            assert!(
+                waited.elapsed() < Duration::from_secs(30),
+                "the worker failpoint never fired"
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
         drop(_fp);
         let out = handle.join().unwrap().expect("scan must survive");
         assert_eq!(sorted_debug(&out), sorted_debug(&seq));

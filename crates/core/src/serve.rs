@@ -103,7 +103,7 @@ use vc_obs::{Json, ObsSession};
 use crate::{
     delta::{fingerprint_ranked, Finding},
     eventlog::{now_ms, EventLog},
-    harden::{self, FailStage, FailureRecord},
+    harden::{self, FailStage},
     incremental::SnapshotStore,
     pipeline::{record_front_end, run_scoped, Options},
     project::load_dir_or_empty,
@@ -306,7 +306,6 @@ impl ServeEngine {
             Program::build_recovering_cached(&refs, &self.config.defines, &mut self.parse_cache);
         parse_mem.finish();
         parse_span.end();
-        record_front_end(&obs, &parse_errors, &stats);
 
         // --- Detection and back end: the executor resolves cached units
         // before scheduling the misses, then the stages shared with batch
@@ -353,12 +352,7 @@ impl ServeEngine {
             vc_obs::names::SERVE_DIRTY_RATIO,
             unit_misses as f64 / prog.funcs.len().max(1) as f64,
         );
-        // Front-end failures splice ahead, mirroring `vcheck scan`.
-        let front: Vec<FailureRecord> = parse_errors
-            .iter()
-            .map(FailureRecord::from_build_error)
-            .collect();
-        analysis.report.failures.splice(0..0, front);
+        record_front_end(&obs, &parse_errors, &stats, &mut analysis.report);
 
         // --- Delta classification against the previous reply. ---
         let current = fingerprint_ranked(&prog, &analysis.ranked);
@@ -1086,12 +1080,10 @@ mod tests {
     /// the oracle the warm engine must match byte-for-byte.
     fn cold_canonical(dir: &Path, opts: &Options) -> Vec<u8> {
         let project = load_dir_or_empty(dir).unwrap();
-        let (prog, errors, _) = Program::build_recovering(&project.source_refs(), &[]);
-        let mut analysis =
-            crate::pipeline::run_with_obs(&prog, &project.repo, opts, ObsSession::new());
-        let front: Vec<FailureRecord> =
-            errors.iter().map(FailureRecord::from_build_error).collect();
-        analysis.report.failures.splice(0..0, front);
+        let (prog, errors, stats) = Program::build_recovering(&project.source_refs(), &[]);
+        let obs = ObsSession::new();
+        let mut analysis = crate::pipeline::run_with_obs(&prog, &project.repo, opts, obs.clone());
+        record_front_end(&obs, &errors, &stats, &mut analysis.report);
         analysis.report.canonical_bytes()
     }
 

@@ -42,7 +42,7 @@ use crate::{
     },
     incremental::{
         content_hash,
-        split_checksum,
+        load_checksummed,
         write_atomic, //
     },
 };
@@ -175,30 +175,15 @@ pub struct SuppressStore {
 }
 
 impl SuppressStore {
-    /// Loads a store from disk. **Never fails**: a missing file is an
-    /// empty store; a checksum mismatch degrades to empty under
-    /// `suppress.store_corrupt`, any other defect under
-    /// `suppress.store_recovered`.
+    /// Loads a store from disk; **never fails** (defects degrade to empty
+    /// under `suppress.store_corrupt` or `suppress.store_recovered`).
     pub fn load(path: &Path) -> SuppressStore {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(_) => return SuppressStore::default(),
-        };
-        let Some((body, sum)) = split_checksum(&text) else {
-            vc_obs::counter_inc(names::SUPPRESS_STORE_RECOVERED);
-            return SuppressStore::default();
-        };
-        if content_hash(body) != sum {
-            vc_obs::counter_inc(names::SUPPRESS_STORE_CORRUPT);
-            return SuppressStore::default();
-        }
-        match Self::parse(body) {
-            Some(store) => store,
-            None => {
-                vc_obs::counter_inc(names::SUPPRESS_STORE_RECOVERED);
-                SuppressStore::default()
-            }
-        }
+        load_checksummed(
+            path,
+            names::SUPPRESS_STORE_CORRUPT,
+            names::SUPPRESS_STORE_RECOVERED,
+            Self::parse,
+        )
     }
 
     fn parse(text: &str) -> Option<SuppressStore> {

@@ -7,7 +7,10 @@
 //! full file contents; blame is maintained incrementally by diffing each
 //! write against the previous content.
 
-use std::collections::HashMap;
+use std::collections::{
+    BTreeMap,
+    HashMap, //
+};
 
 use crate::diff::{
     diff_lines,
@@ -246,15 +249,29 @@ impl Repository {
     /// This is the `git checkout <old>` equivalent the §3.1 preliminary
     /// experiment needs to analyse a 2019 snapshot with 2019 blame.
     pub fn checkout(&self, at: CommitId) -> Repository {
+        self.replay(at, |_, _| {})
+    }
+
+    /// Replays the history through `at` (inclusive) into a fresh
+    /// repository, calling `visit` after each commit with that repository
+    /// (the commit's blame and logs) and its tree, sorted by path. Returns
+    /// the repository as of `at`.
+    pub fn replay<'a>(
+        &'a self,
+        at: CommitId,
+        mut visit: impl FnMut(&Repository, &BTreeMap<&'a str, &'a str>),
+    ) -> Repository {
         let mut out = Repository::new();
         for a in &self.authors {
             out.add_author(a.name.clone());
         }
-        for c in &self.commits {
-            if c.id > at {
-                break;
-            }
+        let mut tree: BTreeMap<&str, &str> = BTreeMap::new();
+        for c in self.commits.iter().take_while(|c| c.id <= at) {
             out.commit(c.author, c.timestamp, c.message.clone(), c.writes.clone());
+            for w in &c.writes {
+                tree.insert(&w.path, &w.content);
+            }
+            visit(&out, &tree);
         }
         out
     }
@@ -404,6 +421,29 @@ two-x
         assert_eq!(repo.blame_author("f", 2), Some(b));
         assert_eq!(old.log("f").len(), 1);
         assert_eq!(old.head(), Some(c1));
+    }
+
+    #[test]
+    fn replay_hands_each_commit_its_blame_and_sorted_tree() {
+        let mut repo = Repository::new();
+        let a = repo.add_author("a");
+        let b = repo.add_author("b");
+        repo.commit(a, 1, "one", vec![write("g", "1\n"), write("f", "x\n")]);
+        repo.commit(b, 2, "two", vec![write("f", "y\n")]);
+        repo.commit(a, 3, "three", vec![write("h", "z\n")]);
+        let mut seen = Vec::new();
+        let last = repo.replay(CommitId(1), |at, tree| {
+            let files: Vec<(&str, &str)> = tree.iter().map(|(p, c)| (*p, *c)).collect();
+            seen.push((at.head().unwrap(), at.blame_author("f", 1), files));
+        });
+        assert_eq!(
+            seen,
+            vec![
+                (CommitId(0), Some(a), vec![("f", "x\n"), ("g", "1\n")]),
+                (CommitId(1), Some(b), vec![("f", "y\n"), ("g", "1\n")]),
+            ]
+        );
+        assert_eq!(last.head(), Some(CommitId(1)));
     }
 
     #[test]

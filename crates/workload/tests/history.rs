@@ -11,7 +11,10 @@
 use std::path::PathBuf;
 
 use valuecheck::{
-    delta::scan_revision,
+    delta::{
+        fingerprint_ranked,
+        walk, //
+    },
     history::{
         history_scan,
         track_rows,
@@ -19,16 +22,21 @@ use valuecheck::{
         HistoryOutcome, //
     },
     lifedb::{
+        CommitAgg,
         FinalState,
         LifeEventKind, //
     },
-    pipeline::Options,
+    pipeline::{
+        run_sentinel,
+        Options, //
+    },
     sentinel::SentinelConfig,
     suppress::{
         SuppressEntry,
         SuppressStore, //
     },
 };
+use vc_ir::Program;
 use vc_obs::{
     names,
     ObsSession, //
@@ -48,8 +56,7 @@ fn replay(
     store: SuppressStore,
 ) -> (HistoryOutcome, ObsSession) {
     let obs = ObsSession::new();
-    let out = history_scan(&w.repo, &[], &Options::paper(), sconf, store, obs.clone())
-        .expect("generated workload must build at every commit");
+    let out = history_scan(&w.repo, &[], &Options::paper(), sconf, store, obs.clone());
     (out, obs)
 }
 
@@ -153,15 +160,17 @@ fn store_entry_keeps_covering_through_drift() {
         suppressed: 0,
         ..LifeProfile::default()
     });
-    let first = scan_revision(
+    let plan = (w.commits[0], SentinelConfig::default());
+    let mut first = None;
+    walk(
         &w.repo,
-        w.commits[0],
+        &[plan],
         &[],
         &Options::paper(),
-        &SentinelConfig::default(),
-        ObsSession::new(),
-    )
-    .expect("first revision must scan");
+        &ObsSession::new(),
+        |s| first = Some(s),
+    );
+    let first = first.expect("the first revision must scan");
     let target = first
         .findings
         .iter()
@@ -259,4 +268,65 @@ fn journaled_resume_reproduces_the_db() {
     );
     assert_eq!(snap.counter("sentinel.units_scanned"), 0);
     cleanup(&journal);
+}
+
+#[test]
+fn the_walk_matches_a_cold_scan_at_every_commit() {
+    // The walk carries its parse and unit caches from commit to commit and
+    // grows its blame one commit at a time. The reference is a cold scan:
+    // a strict build of the commit's snapshot, analysed against a fresh
+    // checkout of the history. Pad drift moves every function at every
+    // commit (all cache misses); without drift, the drift commits rewrite
+    // identical files (hits).
+    for (drift_lines, expect_hits) in [(4, false), (0, true)] {
+        let w = generate_life(&LifeProfile {
+            seed: 29,
+            drift_lines,
+            ..LifeProfile::default()
+        });
+        let opts = Options::paper();
+        let plans: Vec<_> = w
+            .commits
+            .iter()
+            .map(|&commit| (commit, SentinelConfig::default()))
+            .collect();
+        let obs = ObsSession::new();
+        let mut scanned = 0;
+        walk(&w.repo, &plans, &[], &opts, &obs, |scan| {
+            let tree = w.repo.snapshot_at(scan.commit);
+            let mut sources: Vec<(&str, &str)> =
+                tree.iter().map(|(p, c)| (p.as_str(), c.as_str())).collect();
+            sources.sort();
+            let prog = Program::build(&sources, &[]).expect("generated revisions parse");
+            let cold = run_sentinel(
+                &prog,
+                &w.repo.checkout(scan.commit),
+                &opts,
+                &SentinelConfig::default(),
+                ObsSession::new(),
+            );
+            let commit = scan.commit.0;
+            assert_eq!(
+                scan.findings,
+                fingerprint_ranked(&prog, &cold.ranked),
+                "findings at commit {commit}"
+            );
+            assert_eq!(
+                scan.agg,
+                CommitAgg::of(scan.commit, &cold),
+                "funnel at commit {commit}"
+            );
+            assert_eq!(scan.sources, tree, "sources at commit {commit}");
+            scanned += 1;
+        });
+        assert_eq!(scanned, w.commits.len());
+        let snap = obs.registry.snapshot();
+        let hits =
+            snap.counter(names::SENTINEL_UNITS) - snap.counter(names::SENTINEL_UNITS_SCANNED);
+        assert_eq!(
+            hits > 0,
+            expect_hits,
+            "drift {drift_lines}: {hits} cache hits"
+        );
+    }
 }

@@ -101,28 +101,74 @@ fn vcheck() -> Command {
     Command::new(bin)
 }
 
-/// A two-commit project on disk: alice writes `f`, bob overwrites `x`.
-fn two_commit_project(name: &str) -> PathBuf {
+/// A project on disk whose history is `commits` (author, content of
+/// `a.c`), with the last commit's content as the working tree.
+fn history_project(name: &str, commits: &[(&str, &str)]) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("vc_cli_{name}_{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
-    let v1 = "void f(void) {\nint x = 1;\nuse(x);\n}\n";
-    let v2 = "void f(void) {\nint x = 1;\nx = 2;\nuse(x);\n}\n";
-    let commit = |author: &str, content: &str| CommitSpec {
-        author: author.into(),
-        timestamp: 1,
-        message: "edit".into(),
-        writes: vec![WriteSpec {
-            path: "a.c".into(),
-            content: content.into(),
-        }],
-    };
     let spec = HistorySpec {
-        commits: vec![commit("alice", v1), commit("bob", v2)],
+        commits: commits
+            .iter()
+            .map(|(author, content)| CommitSpec {
+                author: author.to_string(),
+                timestamp: 1,
+                message: "edit".into(),
+                writes: vec![WriteSpec {
+                    path: "a.c".into(),
+                    content: content.to_string(),
+                }],
+            })
+            .collect(),
     };
     fs::write(dir.join("history.json"), spec.to_json()).unwrap();
-    fs::write(dir.join("a.c"), v2).unwrap();
+    fs::write(dir.join("a.c"), commits.last().unwrap().1).unwrap();
     dir
+}
+
+/// A two-commit project on disk: alice writes `f`, bob overwrites `x`.
+fn two_commit_project(name: &str) -> PathBuf {
+    let v1 = "void f(void) {\nint x = 1;\nuse(x);\n}\n";
+    let v2 = "void f(void) {\nint x = 1;\nx = 2;\nuse(x);\n}\n";
+    history_project(name, &[("alice", v1), ("bob", v2)])
+}
+
+#[test]
+fn a_broken_past_revision_costs_its_function_not_the_run() {
+    // The middle commit adds a function that does not parse; the last
+    // reverts it. Both subcommands scan that revision like `vcheck <dir>`
+    // would: the broken function is skipped, counted and listed, the run
+    // goes on.
+    let v1 = "void f(void) {\nint x = 1;\nx = 2;\nuse(x);\n}\n";
+    let broken = format!("{v1}void g(void) {{\nint x = ;\n}}\n");
+    let dir = history_project("broken", &[("alice", v1), ("bob", &broken), ("alice", v1)]);
+    let metrics = dir.join("metrics.json");
+    let runs: [&[&str]; 2] = [&["history"], &["delta", "--from", "1", "--to", "2"]];
+    for run in runs {
+        let out = vcheck()
+            .arg(run[0])
+            .arg(&dir)
+            .args(&run[1..])
+            .arg("--metrics-json")
+            .arg(&metrics)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            matches!(out.status.code(), Some(0 | 1)),
+            "{run:?} must exit by its findings: {stderr}"
+        );
+        let snapshot = vc_obs::json::parse(&fs::read_to_string(&metrics).unwrap()).unwrap();
+        let parse_failures = snapshot
+            .get("counters")
+            .and_then(|c| c.get("harden.parse_failures"))
+            .and_then(|n| n.as_i64());
+        assert_eq!(parse_failures, Some(1), "{run:?}");
+        // The skipped function is named on stderr, under its revision.
+        let listed = format!("vcheck {}: commit 1:   [parse] g in a.c:", run[0]);
+        assert!(stderr.contains(&listed), "{run:?}: {stderr}");
+    }
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

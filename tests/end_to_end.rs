@@ -169,8 +169,7 @@ fn incremental_findings_agree_with_full_run_at_head() {
         &app.defines,
         &PruneConfig::default(),
         &RankConfig::default(),
-    )
-    .unwrap();
+    );
     // Every incremental finding (restricted to the changed files) must be a
     // subset of the full run's findings on those files.
     let full_ids: HashSet<(String, String)> = full

@@ -13,6 +13,14 @@ cargo build --release --workspace
 echo "==> cargo build --release --workspace --benches"
 cargo build --release --workspace --benches
 
+# examples: the runnable walkthroughs — quickstart, the two paper bugs,
+# and incremental_ci, which replays the last 10 commits through the §8.6
+# `analyze_commit` path. Nothing else runs them.
+echo "==> cargo run --release --example (quickstart, nfs_bitmap_bug, config_buffer_bug, incremental_ci)"
+for example in quickstart nfs_bitmap_bug config_buffer_bug incremental_ci; do
+    cargo run --quiet --release --example "$example" > /dev/null
+done
+
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
