@@ -1,12 +1,14 @@
 //! Project loading for the `vcheck` command-line tool: a directory of MiniC
 //! sources plus an optional `history.json` ([`vc_vcs::HistorySpec`]).
 
-use std::{fs, io, path::Path};
+use std::{fs, io, path::Path, sync::Arc};
 
 use vc_vcs::{
     HistorySpec,
     Repository, //
 };
+
+use crate::sentinel::{fnv1a, FNV_SEED};
 
 /// A loaded project ready for analysis.
 #[derive(Debug)]
@@ -14,8 +16,9 @@ pub struct Project {
     /// `(relative path, content)` pairs, sorted by path.
     pub sources: Vec<(String, String)>,
     /// The version-control history (synthesized single-author history when
-    /// the project ships no `history.json`).
-    pub repo: Repository,
+    /// the project ships no `history.json`). Shared with the
+    /// [`HistoryCache`] the project was loaded through, if any.
+    pub repo: Arc<Repository>,
     /// Whether a real history was found.
     pub has_history: bool,
 }
@@ -53,43 +56,106 @@ pub fn load_dir(dir: &Path) -> io::Result<Project> {
 /// exposes (empty report, exit 0): a repository that happens to contain no
 /// C sources is clean, not broken. The directory itself must still exist.
 pub fn load_dir_or_empty(dir: &Path) -> io::Result<Project> {
+    load_dir_cached(dir, None)
+}
+
+/// The decoded, replayed `history.json` of the last load through it, kept
+/// for the next load (the warm `vcheck serve` daemon holds one). It is keyed
+/// on the file's exact content, `(length, FNV-1a)` — never on stat data, so
+/// a rewrite with identical bytes still hits and an edit within the same
+/// second still misses. The raw bytes are not kept.
+#[derive(Debug, Default)]
+pub struct HistoryCache {
+    entry: Option<((usize, u64), Arc<Repository>)>,
+    hits: u64,
+    misses: u64,
+}
+
+impl HistoryCache {
+    /// Loads served from the cached repository across the cache's lifetime.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Loads that had to decode and replay across the cache's lifetime.
+    pub fn misses(&self) -> u64 {
+        self.misses
+    }
+
+    /// Drops the cached repository (quarantine: the next load is cold).
+    pub fn clear(&mut self) {
+        self.entry = None;
+    }
+
+    /// The repository `history.json` content `text` replays to.
+    fn repository(&mut self, text: &str) -> io::Result<Arc<Repository>> {
+        let key = (text.len(), fnv1a(FNV_SEED, text.as_bytes()));
+        if let Some((k, repo)) = &self.entry {
+            if *k == key {
+                self.hits += 1;
+                return Ok(Arc::clone(repo));
+            }
+        }
+        self.misses += 1;
+        // Drop the stale repository first: a miss never holds two.
+        self.entry = None;
+        let repo = Arc::new(decode(text)?);
+        self.entry = Some((key, Arc::clone(&repo)));
+        Ok(repo)
+    }
+}
+
+fn decode(text: &str) -> io::Result<Repository> {
+    let spec = HistorySpec::from_json(text)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("history.json: {e}")))?;
+    Ok(spec.build())
+}
+
+/// [`load_dir_or_empty`] that takes the history from `cache` when
+/// `history.json` has the content the cache last saw, and otherwise
+/// decodes and replays it (refilling `cache`). Without a cache it never
+/// hashes. Either way the working tree is checked against the history
+/// head, so a cached history never masks an uncommitted edit.
+pub fn load_dir_cached(dir: &Path, cache: Option<&mut HistoryCache>) -> io::Result<Project> {
     let mut sources: Vec<(String, String)> = Vec::new();
     collect_c_files(dir, dir, &mut sources)?;
     sources.sort_by(|a, b| a.0.cmp(&b.0));
 
     let history_path = dir.join("history.json");
-    if history_path.exists() {
-        let text = fs::read_to_string(&history_path)?;
-        let spec = HistorySpec::from_json(&text).map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("history.json: {e}"))
-        })?;
-        let repo = spec.build();
-        // The working tree must match the history head, or blame lines
-        // would not line up with the parsed sources.
-        for (path, content) in &sources {
-            let head = repo.file_content(path).map(|c| c + "\n");
-            if head.as_deref() != Some(content.as_str())
-                && head.as_deref() != Some(content.trim_end_matches('\n'))
-            {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("history.json head does not match working tree for {path}"),
-                ));
-            }
+    if !history_path.exists() {
+        if let Some(cache) = cache {
+            cache.clear();
         }
-        Ok(Project {
-            sources,
-            repo,
-            has_history: true,
-        })
-    } else {
-        let repo = HistorySpec::single_author(&sources).build();
-        Ok(Project {
+        let repo = Arc::new(HistorySpec::single_author(&sources).build());
+        return Ok(Project {
             sources,
             repo,
             has_history: false,
-        })
+        });
     }
+    let text = fs::read_to_string(&history_path)?;
+    let repo = match cache {
+        Some(cache) => cache.repository(&text)?,
+        None => Arc::new(decode(&text)?),
+    };
+    // The working tree must match the history head, or blame lines
+    // would not line up with the parsed sources.
+    for (path, content) in &sources {
+        let head = repo.file_content(path).map(|c| c + "\n");
+        if head.as_deref() != Some(content.as_str())
+            && head.as_deref() != Some(content.trim_end_matches('\n'))
+        {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("history.json head does not match working tree for {path}"),
+            ));
+        }
+    }
+    Ok(Project {
+        sources,
+        repo,
+        has_history: true,
+    })
 }
 
 fn collect_c_files(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) -> io::Result<()> {
@@ -177,6 +243,55 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("vc-no-such-dir-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         assert!(load_dir_or_empty(&dir).is_err());
+    }
+
+    #[test]
+    fn history_cache_keys_on_content_and_a_miss_holds_one_repository() {
+        let dir = tmpdir("cache");
+        let history = |author: &str| vc_vcs::HistorySpec {
+            commits: vec![vc_vcs::spec::CommitSpec {
+                author: author.into(),
+                timestamp: 5,
+                message: "init".into(),
+                writes: vec![vc_vcs::spec::WriteSpec {
+                    path: "src/a.c".into(),
+                    content: "int f(void) { return 1; }\n".into(),
+                }],
+            }],
+        };
+        fs::write(dir.join("src/a.c"), "int f(void) { return 1; }\n").unwrap();
+        fs::write(dir.join("history.json"), history("alice").to_json()).unwrap();
+        let mut cache = HistoryCache::default();
+        let first = load_dir_cached(&dir, Some(&mut cache)).unwrap();
+        let second = load_dir_cached(&dir, Some(&mut cache)).unwrap();
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert!(
+            Arc::ptr_eq(&first.repo, &second.repo),
+            "a hit shares the repository"
+        );
+        drop(second);
+
+        fs::write(dir.join("history.json"), history("bob").to_json()).unwrap();
+        let third = load_dir_cached(&dir, Some(&mut cache)).unwrap();
+        assert_eq!((cache.hits(), cache.misses()), (1, 2));
+        assert_eq!(
+            Arc::strong_count(&first.repo),
+            1,
+            "the miss let go of the old one"
+        );
+        assert_eq!(
+            third
+                .repo
+                .blame_author("src/a.c", 1)
+                .map(|a| third.repo.author(a).name.clone()),
+            Some("bob".to_string())
+        );
+
+        cache.clear();
+        drop(third);
+        load_dir_cached(&dir, Some(&mut cache)).unwrap();
+        assert_eq!((cache.hits(), cache.misses()), (1, 3), "cleared means cold");
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

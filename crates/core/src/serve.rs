@@ -64,6 +64,16 @@
 //! not used by the current request are dropped, bounding memory across
 //! thousands of requests.
 //!
+//! The decoded, replayed `history.json` is kept in a [`HistoryCache`]
+//! holding exactly one history, keyed on the file's content: `(length,
+//! FNV-1a)`, never stat data, so a rewrite with identical bytes hits and
+//! any other content misses (`serve.history_cache.hits` / `.misses`, one
+//! per request on a tree with a `history.json`). A miss drops the cached
+//! repository before decoding, so it never holds two. The working tree is
+//! checked against the history head on hits and misses alike: a broken
+//! `history.json` or an uncommitted edit gets the same error reply as a
+//! cold load. A quarantine clears this cache with the others.
+//!
 //! ## Telemetry (DESIGN.md §16)
 //!
 //! Every request is an observable unit: a monotonic `trace_id` (echoed in
@@ -106,7 +116,7 @@ use crate::{
     harden::{self, FailStage},
     incremental::SnapshotStore,
     pipeline::{record_front_end, run_scoped, Options},
-    project::load_dir_or_empty,
+    project::{load_dir_cached, HistoryCache},
     sentinel::{fnv1a, salt_strings, ScanScope, SentinelConfig, UnitCache, FNV_SEED},
 };
 
@@ -220,6 +230,8 @@ pub struct ServeEngine {
     obs: ObsSession,
     parse_cache: ParseCache,
     units: UnitCache,
+    /// The decoded, replayed `history.json`, keyed on its content.
+    history: HistoryCache,
     warm: Option<Warm>,
     /// Fingerprinted findings of the previous successful reply.
     prev: Option<Vec<Finding>>,
@@ -247,12 +259,19 @@ impl ServeEngine {
             .event_log
             .as_ref()
             .map(|p| Arc::new(Mutex::new(EventLog::open(p, config.event_log_max_bytes))));
+        let obs = ObsSession::new();
+        // Listed from the start, so `status` and the metrics export show
+        // the history cache even before (or without) a `history.json`.
+        obs.registry.add(vc_obs::names::SERVE_HISTORY_CACHE_HITS, 0);
+        obs.registry
+            .add(vc_obs::names::SERVE_HISTORY_CACHE_MISSES, 0);
         Ok(ServeEngine {
             dir: dir.to_path_buf(),
             config,
-            obs: ObsSession::new(),
+            obs,
             parse_cache: ParseCache::default(),
             units: UnitCache::default(),
+            history: HistoryCache::default(),
             warm: None,
             prev: None,
             panic_seqs: HashSet::new(),
@@ -271,6 +290,7 @@ impl ServeEngine {
     pub fn quarantine(&mut self) {
         self.parse_cache.clear();
         self.units = UnitCache::default();
+        self.history.clear();
         self.warm = None;
         self.obs
             .registry
@@ -293,7 +313,19 @@ impl ServeEngine {
         }
         let rebuilt = self.warm.is_none();
 
-        let project = load_dir_or_empty(&self.dir)?;
+        let (hits, misses) = (self.history.hits(), self.history.misses());
+        let project = load_dir_cached(&self.dir, Some(&mut self.history));
+        // Counted before `?`: a history that fails to decode still missed.
+        let reg = &self.obs.registry;
+        reg.add(
+            vc_obs::names::SERVE_HISTORY_CACHE_HITS,
+            self.history.hits() - hits,
+        );
+        reg.add(
+            vc_obs::names::SERVE_HISTORY_CACHE_MISSES,
+            self.history.misses() - misses,
+        );
+        let project = project?;
         let refs = project.source_refs();
         let obs = self.obs.clone();
         let _guard = obs.install();
@@ -594,6 +626,12 @@ impl ServeEngine {
     /// percentiles, cache effectiveness, and uptime. Must never panic —
     /// before the first scan every histogram is empty, and empty
     /// percentiles render as `null`, not NaN or garbage.
+    ///
+    /// `p50_us`/`p95_us`/`p99_us` are estimates, not samples: each is the
+    /// floor of the log-linear bucket holding the nearest-rank sample,
+    /// clamped to the exact observed `[min, max]`. It never exceeds that
+    /// sample and understates it by less than 20 % (the bound
+    /// [`vc_obs::metrics`] states); with one sample, all three are exact.
     fn status_reply(&self, seq: u64) -> Json {
         let reg = &self.obs.registry;
         let counters = [
@@ -608,6 +646,8 @@ impl ServeEngine {
             vc_obs::names::SERVE_UNIT_HITS,
             vc_obs::names::SERVE_UNIT_MISSES,
             vc_obs::names::SERVE_UNITS_SWEPT,
+            vc_obs::names::SERVE_HISTORY_CACHE_HITS,
+            vc_obs::names::SERVE_HISTORY_CACHE_MISSES,
             vc_obs::names::FUNNEL_RAW,
             vc_obs::names::FUNNEL_CROSS_SCOPE,
             vc_obs::names::FUNNEL_FAILED,
@@ -1079,7 +1119,7 @@ mod tests {
     /// A cold batch scan of the same tree, through the standard pipeline —
     /// the oracle the warm engine must match byte-for-byte.
     fn cold_canonical(dir: &Path, opts: &Options) -> Vec<u8> {
-        let project = load_dir_or_empty(dir).unwrap();
+        let project = crate::project::load_dir_or_empty(dir).unwrap();
         let (prog, errors, stats) = Program::build_recovering(&project.source_refs(), &[]);
         let obs = ObsSession::new();
         let mut analysis = crate::pipeline::run_with_obs(&prog, &project.repo, opts, obs.clone());

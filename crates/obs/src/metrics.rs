@@ -39,7 +39,9 @@ pub fn env_fingerprint() -> String {
 }
 
 /// Log-linear histogram: 64 octaves × 4 sub-buckets covers the full `u64`
-/// range with ≤ ~19% relative bucket width, plus an exact zero bucket.
+/// range, plus exact buckets for 0..4. A bucket in octave `2^k` is
+/// `2^(k-2)` wide and starts at or above `2^k`, so its floor understates
+/// any sample in it by less than a fifth of the sample (< 20 %).
 const SUB_BUCKETS: u64 = 4;
 const BUCKETS: usize = 64 * SUB_BUCKETS as usize;
 
@@ -96,7 +98,9 @@ impl Histogram {
     }
 
     /// The quantile `q` in `[0, 1]`, estimated from bucket floors and
-    /// clamped into the exact observed `[min, max]` range.
+    /// clamped into the exact observed `[min, max]` range. The error bound:
+    /// the result is never above the nearest-rank sample it stands for and
+    /// is more than 80 % of it (exact below 4).
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -498,6 +502,19 @@ mod tests {
         assert_eq!(s.p95, 777);
         assert_eq!(h.quantile(0.0), 777);
         assert_eq!(h.quantile(1.0), 777);
+    }
+
+    #[test]
+    fn a_bucket_floor_understates_its_samples_by_less_than_a_fifth() {
+        let mut v = 1u64;
+        while v < u64::MAX / 3 {
+            for s in [v, v + 1, v * 2 - 1, v + v / 3] {
+                let floor = bucket_floor(bucket_index(s));
+                assert!(floor <= s, "{s}");
+                assert!((s - floor) * 5 < s.max(1), "{s} -> {floor}");
+            }
+            v = v * 3 + 1;
+        }
     }
 
     #[test]

@@ -185,6 +185,12 @@ pub const SERVE_ERRORS: &str = "serve.errors";
 pub const SERVE_QUARANTINED: &str = "serve.quarantined";
 /// Warm cache units evicted by generational sweeps.
 pub const SERVE_UNITS_SWEPT: &str = "serve.units_swept";
+/// Scan/update requests whose `history.json` had the cached content, so
+/// the warm decoded history was reused.
+pub const SERVE_HISTORY_CACHE_HITS: &str = "serve.history_cache.hits";
+/// Scan/update requests whose `history.json` was decoded and replayed
+/// (first request, new content, or after a quarantine).
+pub const SERVE_HISTORY_CACHE_MISSES: &str = "serve.history_cache.misses";
 /// Gauge: the most recently assigned request trace id (monotonic from 1).
 pub const SERVE_TRACE_ID: &str = "serve.trace_id";
 /// Gauge: warm unit-cache hit rate of the latest scan (hits / lookups).
@@ -348,6 +354,8 @@ pub const ALL: &[&str] = &[
     SERVE_ERRORS,
     SERVE_QUARANTINED,
     SERVE_UNITS_SWEPT,
+    SERVE_HISTORY_CACHE_HITS,
+    SERVE_HISTORY_CACHE_MISSES,
     SERVE_TRACE_ID,
     SERVE_WARM_HIT_RATE,
     SERVE_DIRTY_RATIO,

@@ -82,6 +82,15 @@ echo "==> cargo test -p valuecheck --test chaos --test chaos_mem -q (serve chaos
 cargo test -p valuecheck --test chaos -q
 cargo test -p valuecheck --test chaos_mem -q
 
+# serve: the warm history cache and telemetry contract
+# (crates/core/tests/serve.rs) — the decoded history.json hits on the same
+# bytes (also when rewritten under a new inode and mtime), misses on new
+# content, never masks a broken history.json or an uncommitted edit (the
+# head check runs on hits too), and is cleared by a quarantine; every
+# reply's csv equals a cold `vcheck <dir>` of the same tree.
+echo "==> cargo test -p valuecheck --test serve -q (serve history cache)"
+cargo test -p valuecheck --test serve -q
+
 # summaries: the per-function summary layer (crates/core/tests/summaries.rs)
 # — dead-store facts built exactly once per function per cold scan
 # (summary.built == function count, counter-verified), reused rather than
