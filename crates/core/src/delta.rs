@@ -446,9 +446,7 @@ pub fn classify(
             .or_insert_with(|| {
                 let old_text = old_sources.get(file)?;
                 let new_text = new_sources.get(file)?;
-                let old_lines: Vec<String> = old_text.lines().map(str::to_string).collect();
-                let new_lines: Vec<String> = new_text.lines().map(str::to_string).collect();
-                Some(LineMap::between(&old_lines, &new_lines))
+                Some(LineMap::between(old_text, new_text))
             })
             .as_ref()
     }

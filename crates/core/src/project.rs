@@ -4,6 +4,7 @@
 use std::{fs, io, path::Path, sync::Arc};
 
 use vc_vcs::{
+    diff::lines,
     HistorySpec,
     Repository, //
 };
@@ -138,13 +139,14 @@ pub fn load_dir_cached(dir: &Path, cache: Option<&mut HistoryCache>) -> io::Resu
         Some(cache) => cache.repository(&text)?,
         None => Arc::new(decode(&text)?),
     };
-    // The working tree must match the history head, or blame lines
-    // would not line up with the parsed sources.
+    // The working tree must match the history head line for line (split
+    // as blame splits), or blame lines would not line up with the parsed
+    // sources.
     for (path, content) in &sources {
-        let head = repo.file_content(path).map(|c| c + "\n");
-        if head.as_deref() != Some(content.as_str())
-            && head.as_deref() != Some(content.trim_end_matches('\n'))
-        {
+        let same = repo
+            .file_content(path)
+            .is_some_and(|head| lines(head).eq(lines(content)));
+        if !same {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("history.json head does not match working tree for {path}"),
@@ -187,6 +189,21 @@ mod tests {
         dir
     }
 
+    /// A one-commit history writing `content` to `src/a.c`.
+    fn history(author: &str, content: &str) -> HistorySpec {
+        HistorySpec {
+            commits: vec![vc_vcs::spec::CommitSpec {
+                author: author.into(),
+                timestamp: 5,
+                message: "init".into(),
+                writes: vec![vc_vcs::spec::WriteSpec {
+                    path: "src/a.c".into(),
+                    content: content.into(),
+                }],
+            }],
+        }
+    }
+
     #[test]
     fn loads_tree_without_history() {
         let dir = tmpdir("nohist");
@@ -204,17 +221,7 @@ mod tests {
         let dir = tmpdir("hist");
         let content = "int f(void) { return 1; }\n";
         fs::write(dir.join("src/a.c"), content).unwrap();
-        let spec = vc_vcs::HistorySpec {
-            commits: vec![vc_vcs::spec::CommitSpec {
-                author: "alice".into(),
-                timestamp: 5,
-                message: "init".into(),
-                writes: vec![vc_vcs::spec::WriteSpec {
-                    path: "src/a.c".into(),
-                    content: content.into(),
-                }],
-            }],
-        };
+        let spec = history("alice", content);
         fs::write(dir.join("history.json"), spec.to_json_pretty()).unwrap();
         let p = load_dir(&dir).unwrap();
         assert!(p.has_history);
@@ -248,19 +255,13 @@ mod tests {
     #[test]
     fn history_cache_keys_on_content_and_a_miss_holds_one_repository() {
         let dir = tmpdir("cache");
-        let history = |author: &str| vc_vcs::HistorySpec {
-            commits: vec![vc_vcs::spec::CommitSpec {
-                author: author.into(),
-                timestamp: 5,
-                message: "init".into(),
-                writes: vec![vc_vcs::spec::WriteSpec {
-                    path: "src/a.c".into(),
-                    content: "int f(void) { return 1; }\n".into(),
-                }],
-            }],
-        };
-        fs::write(dir.join("src/a.c"), "int f(void) { return 1; }\n").unwrap();
-        fs::write(dir.join("history.json"), history("alice").to_json()).unwrap();
+        let content = "int f(void) { return 1; }\n";
+        fs::write(dir.join("src/a.c"), content).unwrap();
+        fs::write(
+            dir.join("history.json"),
+            history("alice", content).to_json(),
+        )
+        .unwrap();
         let mut cache = HistoryCache::default();
         let first = load_dir_cached(&dir, Some(&mut cache)).unwrap();
         let second = load_dir_cached(&dir, Some(&mut cache)).unwrap();
@@ -271,7 +272,7 @@ mod tests {
         );
         drop(second);
 
-        fs::write(dir.join("history.json"), history("bob").to_json()).unwrap();
+        fs::write(dir.join("history.json"), history("bob", content).to_json()).unwrap();
         let third = load_dir_cached(&dir, Some(&mut cache)).unwrap();
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
         assert_eq!(
@@ -298,19 +299,37 @@ mod tests {
     fn rejects_mismatched_history() {
         let dir = tmpdir("mismatch");
         fs::write(dir.join("src/a.c"), "int f(void) { return 2; }\n").unwrap();
-        let spec = vc_vcs::HistorySpec {
-            commits: vec![vc_vcs::spec::CommitSpec {
-                author: "alice".into(),
-                timestamp: 5,
-                message: "init".into(),
-                writes: vec![vc_vcs::spec::WriteSpec {
-                    path: "src/a.c".into(),
-                    content: "int f(void) { return 1; }\n".into(),
-                }],
-            }],
-        };
+        let spec = history("alice", "int f(void) { return 1; }\n");
         fs::write(dir.join("history.json"), spec.to_json()).unwrap();
         assert!(load_dir(&dir).is_err());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn head_check_compares_lines_as_blame_counts_them() {
+        let dir = tmpdir("newline");
+        let body = "int f(void) { return 1; }";
+        let terminated = format!("{body}\n");
+        // (head text, working-tree text, loads?)
+        let cases = [
+            (body, body, true),
+            (terminated.as_str(), body, true),
+            (body, terminated.as_str(), true),
+            (terminated.as_str(), terminated.as_str(), true),
+            // A trailing blank line is one more line: a real mismatch.
+            (terminated.as_str(), "int f(void) { return 1; }\n\n", false),
+            (body, "int f(void) { return 1; }\n\n", false),
+        ];
+        for (head, tree, loads) in cases {
+            fs::write(dir.join("src/a.c"), tree).unwrap();
+            fs::write(dir.join("history.json"), history("alice", head).to_json()).unwrap();
+            let loaded = load_dir(&dir);
+            assert_eq!(loaded.is_ok(), loads, "head {head:?}, tree {tree:?}");
+            if let Ok(p) = loaded {
+                assert!(p.has_history);
+                assert!(p.repo.blame_author("src/a.c", 1).is_some());
+            }
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -251,9 +251,7 @@ impl SuppressStore {
             let map = maps.entry(e.file.clone()).or_insert_with(|| {
                 let old_text = old_sources.get(&e.file)?;
                 let new_text = new_sources.get(&e.file)?;
-                let old_lines: Vec<String> = old_text.lines().map(str::to_string).collect();
-                let new_lines: Vec<String> = new_text.lines().map(str::to_string).collect();
-                Some(LineMap::between(&old_lines, &new_lines))
+                Some(LineMap::between(old_text, new_text))
             });
             if let Some(mapped) = map.as_ref().and_then(|m| m.old_to_new_nearby(e.line)) {
                 e.line = mapped;

@@ -51,6 +51,10 @@ fn grind(src: &str, budget: Budget) {
             ..PtConfig::default()
         },
     );
+    assert!(
+        !(budget.is_unlimited() && pts.exhausted()),
+        "an unlimited solve never runs out of budget"
+    );
     let out = detect_program_hardened(
         &prog,
         DetectConfig::default(),

@@ -67,14 +67,6 @@ pub enum Operand {
 }
 
 impl Operand {
-    /// The temp inside, if this operand is a temp.
-    pub fn as_temp(&self) -> Option<TempId> {
-        match self {
-            Operand::Temp(t) => Some(*t),
-            _ => None,
-        }
-    }
-
     /// The constant inside, if this operand is a constant.
     pub fn as_const(&self) -> Option<i64> {
         match self {
@@ -243,18 +235,6 @@ impl Inst {
             | Inst::Un { span, .. }
             | Inst::AddrOf { span, .. }
             | Inst::Call { span, .. } => *span,
-        }
-    }
-
-    /// The temp defined by this instruction, if any.
-    pub fn def_temp(&self) -> Option<TempId> {
-        match self {
-            Inst::Load { dst, .. }
-            | Inst::Bin { dst, .. }
-            | Inst::Un { dst, .. }
-            | Inst::AddrOf { dst, .. } => Some(*dst),
-            Inst::Call { dst, .. } => *dst,
-            Inst::Store { .. } => None,
         }
     }
 }

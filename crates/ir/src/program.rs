@@ -643,15 +643,6 @@ impl Program {
     pub fn inst_count(&self) -> usize {
         self.funcs.iter().map(|f| f.inst_count()).sum()
     }
-
-    /// Functions defined in the given file.
-    pub fn funcs_in_file(&self, file: FileId) -> impl Iterator<Item = (FuncId, &Function)> {
-        self.funcs
-            .iter()
-            .enumerate()
-            .filter(move |(_, f)| f.file == file)
-            .map(|(i, f)| (FuncId(i as u32), f))
-    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
-//! Node space of the pointer analysis: abstract memory objects and pointer
-//! variables, with interning to dense ids.
+//! Node space of the pointer analysis: abstract memory objects, interned
+//! to dense ids. (Pointer variables need no interner: the solver numbers
+//! temps and object slots densely.)
 
 use vc_ir::{
     FuncId,
-    LocalId,
-    TempId, //
+    LocalId, //
 };
 
 use crate::fasthash::FastMap;
@@ -53,22 +53,11 @@ impl MemObj {
     }
 }
 
-/// A pointer-valued analysis variable: something that holds a points-to set.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum PtVar {
-    /// An IR temp of a function.
-    Temp(FuncId, TempId),
-    /// The *contents* of a memory object (what is stored in it).
-    Slot(u32),
-}
-
-/// Dense interner for objects and variables.
+/// Dense interner for memory objects.
 #[derive(Debug, Default)]
 pub struct Interner {
     objs: Vec<MemObj>,
     obj_ids: FastMap<MemObj, u32>,
-    vars: Vec<PtVar>,
-    var_ids: FastMap<PtVar, u32>,
 }
 
 impl Interner {
@@ -88,50 +77,14 @@ impl Interner {
         id
     }
 
-    /// Interns a variable.
-    pub fn var(&mut self, v: PtVar) -> u32 {
-        if let Some(&id) = self.var_ids.get(&v) {
-            return id;
-        }
-        let id = self.vars.len() as u32;
-        self.vars.push(v.clone());
-        self.var_ids.insert(v, id);
-        id
-    }
-
-    /// The variable holding the contents of object `o`.
-    pub fn slot_var(&mut self, o: u32) -> u32 {
-        self.var(PtVar::Slot(o))
-    }
-
     /// Resolves an object id.
     pub fn obj_ref(&self, id: u32) -> &MemObj {
         &self.objs[id as usize]
     }
 
-    /// Resolves a variable id.
-    pub fn var_ref(&self, id: u32) -> &PtVar {
-        &self.vars[id as usize]
-    }
-
-    /// Looks up a variable id without interning.
-    pub fn lookup_var(&self, v: &PtVar) -> Option<u32> {
-        self.var_ids.get(v).copied()
-    }
-
     /// Number of interned objects.
     pub fn num_objs(&self) -> usize {
         self.objs.len()
-    }
-
-    /// Number of interned variables.
-    pub fn num_vars(&self) -> usize {
-        self.vars.len()
-    }
-
-    /// Iterates over all interned objects with ids.
-    pub fn iter_objs(&self) -> impl Iterator<Item = (u32, &MemObj)> {
-        self.objs.iter().enumerate().map(|(i, o)| (i as u32, o))
     }
 }
 

@@ -10,6 +10,10 @@
 //! If the middle is pathologically large the diff degrades to
 //! delete-all/insert-all for the middle — still a correct patch, just not
 //! minimal, mirroring the heuristic cutoffs of production diff tools.
+//!
+//! Scripts are computed over borrowed lines (any `T: PartialEq`, in
+//! practice `&str` slices of a file's text split by [`lines`]) and carry
+//! only counts: the lines themselves stay in the caller's text.
 
 /// One hunk of an edit script.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -18,29 +22,45 @@ pub enum Edit {
     Keep(usize),
     /// The next `n` old lines are removed.
     Delete(usize),
-    /// These new lines are inserted.
-    Insert(Vec<String>),
+    /// The next `n` new lines are inserted.
+    Insert(usize),
 }
 
 /// Middle sizes whose product exceeds this fall back to full replacement.
 const LCS_CELL_LIMIT: usize = 16_000_000;
 
-/// Computes a line edit script transforming `old` into `new`.
-///
-/// The script is minimal whenever the changed region is below the DP cutoff
-/// (16M cells, ~4000×4000 changed lines), which covers every realistic
-/// commit; `patch(old, &diff_lines(old, new)) == new` holds unconditionally.
+/// Splits text into lines the way blame counts them (`git`'s accounting):
+/// on `\n` only, with a trailing newline ending the last line rather than
+/// opening an empty one. A `\r` stays part of its line.
 ///
 /// # Examples
 ///
 /// ```
-/// use vc_vcs::diff::{diff_lines, patch};
-/// let old = ["a", "b", "c"].map(String::from).to_vec();
-/// let new = ["a", "x", "c"].map(String::from).to_vec();
-/// let script = diff_lines(&old, &new);
-/// assert_eq!(patch(&old, &script), new);
+/// use vc_vcs::diff::lines;
+/// assert_eq!(lines("a\nb\n").collect::<Vec<_>>(), ["a", "b"]);
+/// assert_eq!(lines("a\nb").collect::<Vec<_>>(), ["a", "b"]);
+/// assert_eq!(lines("a\n\n").collect::<Vec<_>>(), ["a", ""]);
+/// assert_eq!(lines("").count(), 0);
 /// ```
-pub fn diff_lines(old: &[String], new: &[String]) -> Vec<Edit> {
+pub fn lines(text: &str) -> std::str::SplitTerminator<'_, char> {
+    text.split_terminator('\n')
+}
+
+/// Computes a line edit script transforming `old` into `new`.
+///
+/// The script is minimal whenever the changed region is below the DP cutoff
+/// (16M cells, ~4000×4000 changed lines), which covers every realistic
+/// commit. It never holds two adjacent hunks of the same kind, and
+/// `patch(old, new, &diff_lines(old, new)) == new` holds unconditionally.
+///
+/// # Examples
+///
+/// ```
+/// use vc_vcs::diff::{diff_lines, Edit};
+/// let script = diff_lines(&["a", "b", "c"], &["a", "x", "c"]);
+/// assert_eq!(script, [Edit::Keep(1), Edit::Delete(1), Edit::Insert(1), Edit::Keep(1)]);
+/// ```
+pub fn diff_lines<T: PartialEq>(old: &[T], new: &[T]) -> Vec<Edit> {
     // Trim common prefix.
     let mut prefix = 0;
     while prefix < old.len() && prefix < new.len() && old[prefix] == new[prefix] {
@@ -57,6 +77,8 @@ pub fn diff_lines(old: &[String], new: &[String]) -> Vec<Edit> {
     let mid_old = &old[prefix..old.len() - suffix];
     let mid_new = &new[prefix..new.len() - suffix];
 
+    // The middle never starts or ends with a kept line (the trims took
+    // those), so the three parts join without two adjacent `Keep`s.
     let mut edits = Vec::new();
     if prefix > 0 {
         edits.push(Edit::Keep(prefix));
@@ -65,17 +87,17 @@ pub fn diff_lines(old: &[String], new: &[String]) -> Vec<Edit> {
     if suffix > 0 {
         edits.push(Edit::Keep(suffix));
     }
-    coalesce(edits)
+    edits
 }
 
 /// Diffs the changed middle region via LCS, appending hunks to `edits`.
-fn append_middle(old: &[String], new: &[String], edits: &mut Vec<Edit>) {
+fn append_middle<T: PartialEq>(old: &[T], new: &[T], edits: &mut Vec<Edit>) {
     let (n, m) = (old.len(), new.len());
     if n == 0 && m == 0 {
         return;
     }
     if n == 0 {
-        edits.push(Edit::Insert(new.to_vec()));
+        edits.push(Edit::Insert(m));
         return;
     }
     if m == 0 {
@@ -84,7 +106,7 @@ fn append_middle(old: &[String], new: &[String], edits: &mut Vec<Edit>) {
     }
     if n.saturating_mul(m) > LCS_CELL_LIMIT {
         edits.push(Edit::Delete(n));
-        edits.push(Edit::Insert(new.to_vec()));
+        edits.push(Edit::Insert(m));
         return;
     }
 
@@ -100,88 +122,66 @@ fn append_middle(old: &[String], new: &[String], edits: &mut Vec<Edit>) {
             };
         }
     }
-    // Walk the table emitting hunks.
+    // Walk the table emitting hunks; `push` merges same-kind neighbours.
     let (mut i, mut j) = (0, 0);
     while i < n && j < m {
         if old[i] == new[j] {
-            push_keep(edits, 1);
+            push(edits, Edit::Keep(1));
             i += 1;
             j += 1;
         } else if lcs[at(i + 1, j)] >= lcs[at(i, j + 1)] {
-            push_delete(edits, 1);
+            push(edits, Edit::Delete(1));
             i += 1;
         } else {
-            push_insert(edits, new[j].clone());
+            push(edits, Edit::Insert(1));
             j += 1;
         }
     }
     if i < n {
-        push_delete(edits, n - i);
+        push(edits, Edit::Delete(n - i));
     }
-    while j < m {
-        push_insert(edits, new[j].clone());
-        j += 1;
-    }
-}
-
-fn push_keep(edits: &mut Vec<Edit>, n: usize) {
-    match edits.last_mut() {
-        Some(Edit::Keep(k)) => *k += n,
-        _ => edits.push(Edit::Keep(n)),
+    if j < m {
+        push(edits, Edit::Insert(m - j));
     }
 }
 
-fn push_delete(edits: &mut Vec<Edit>, n: usize) {
-    match edits.last_mut() {
-        Some(Edit::Delete(k)) => *k += n,
-        _ => edits.push(Edit::Delete(n)),
+/// Appends a hunk, growing the last one instead when it is the same kind.
+fn push(edits: &mut Vec<Edit>, edit: Edit) {
+    match (edits.last_mut(), edit) {
+        (Some(Edit::Keep(a)), Edit::Keep(b))
+        | (Some(Edit::Delete(a)), Edit::Delete(b))
+        | (Some(Edit::Insert(a)), Edit::Insert(b)) => *a += b,
+        (_, edit) => edits.push(edit),
     }
 }
 
-fn push_insert(edits: &mut Vec<Edit>, line: String) {
-    match edits.last_mut() {
-        Some(Edit::Insert(lines)) => lines.push(line),
-        _ => edits.push(Edit::Insert(vec![line])),
-    }
-}
-
-/// Merges adjacent same-kind hunks (defensive; builders above already merge).
-fn coalesce(edits: Vec<Edit>) -> Vec<Edit> {
-    let mut out: Vec<Edit> = Vec::with_capacity(edits.len());
-    for e in edits {
-        match (out.last_mut(), e) {
-            (Some(Edit::Keep(a)), Edit::Keep(b)) => *a += b,
-            (Some(Edit::Delete(a)), Edit::Delete(b)) => *a += b,
-            (Some(Edit::Insert(a)), Edit::Insert(b)) => a.extend(b),
-            (_, e) => out.push(e),
-        }
-    }
-    out
-}
-
-/// Applies an edit script to `old`, producing the new line vector.
+/// Applies an edit script: `Keep` copies lines from `old`, `Insert` takes
+/// the next lines of `new`. The result equals `new` exactly when every
+/// `Keep` pairs equal lines, which makes it the checking oracle for
+/// [`diff_lines`].
 ///
 /// # Panics
 ///
-/// Panics if the script does not match `old` (wrong hunk lengths).
-pub fn patch(old: &[String], script: &[Edit]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut pos = 0usize;
+/// Panics if the script does not cover `old` and `new` exactly.
+pub fn patch<T: Clone>(old: &[T], new: &[T], script: &[Edit]) -> Vec<T> {
+    let mut out = Vec::with_capacity(new.len());
+    let (mut i, mut j) = (0usize, 0usize);
     for edit in script {
-        match edit {
+        match *edit {
             Edit::Keep(n) => {
-                out.extend_from_slice(&old[pos..pos + n]);
-                pos += n;
+                out.extend_from_slice(&old[i..i + n]);
+                i += n;
+                j += n;
             }
-            Edit::Delete(n) => {
-                pos += n;
-            }
-            Edit::Insert(lines) => {
-                out.extend_from_slice(lines);
+            Edit::Delete(n) => i += n,
+            Edit::Insert(n) => {
+                out.extend_from_slice(&new[j..j + n]);
+                j += n;
             }
         }
     }
-    assert_eq!(pos, old.len(), "edit script does not cover the old file");
+    assert_eq!(i, old.len(), "edit script does not cover the old file");
+    assert_eq!(j, new.len(), "edit script does not cover the new file");
     out
 }
 
@@ -197,10 +197,8 @@ pub fn patch(old: &[String], script: &[Edit]) -> Vec<String> {
 /// # Examples
 ///
 /// ```
-/// use vc_vcs::diff::{diff_lines, LineMap};
-/// let old = ["a", "b", "c"].map(String::from).to_vec();
-/// let new = ["x", "a", "b", "c"].map(String::from).to_vec();
-/// let map = LineMap::new(&diff_lines(&old, &new));
+/// use vc_vcs::diff::LineMap;
+/// let map = LineMap::between("a\nb\nc\n", "x\na\nb\nc\n");
 /// assert_eq!(map.old_to_new(1), Some(2)); // "a" shifted down by the insert
 /// assert_eq!(map.new_to_old(1), None); // "x" is new
 /// ```
@@ -228,7 +226,7 @@ impl LineMap {
                     }
                 }
                 Edit::Delete(n) => old_to_new.extend(std::iter::repeat_n(None, *n)),
-                Edit::Insert(lines) => new_to_old.extend(std::iter::repeat_n(None, lines.len())),
+                Edit::Insert(n) => new_to_old.extend(std::iter::repeat_n(None, *n)),
             }
         }
         LineMap {
@@ -237,9 +235,12 @@ impl LineMap {
         }
     }
 
-    /// Builds the mapping by diffing two file contents directly.
-    pub fn between(old: &[String], new: &[String]) -> LineMap {
-        LineMap::new(&diff_lines(old, new))
+    /// Builds the mapping by diffing two file contents, split into
+    /// [`lines`] as blame splits them.
+    pub fn between(old: &str, new: &str) -> LineMap {
+        let old: Vec<&str> = lines(old).collect();
+        let new: Vec<&str> = lines(new).collect();
+        LineMap::new(&diff_lines(&old, &new))
     }
 
     /// The new-revision line of old-revision line `line` (1-based), if the
@@ -321,8 +322,7 @@ pub fn churn(script: &[Edit]) -> usize {
         .iter()
         .map(|e| match e {
             Edit::Keep(_) => 0,
-            Edit::Delete(n) => *n,
-            Edit::Insert(lines) => lines.len(),
+            Edit::Delete(n) | Edit::Insert(n) => *n,
         })
         .sum()
 }
@@ -331,17 +331,17 @@ pub fn churn(script: &[Edit]) -> usize {
 mod tests {
     use super::*;
 
-    fn lines(s: &[&str]) -> Vec<String> {
-        s.iter().map(|x| x.to_string()).collect()
+    /// File text with one `\n`-terminated line per entry.
+    fn text(ls: &[&str]) -> String {
+        ls.iter().map(|l| format!("{l}\n")).collect()
     }
 
     fn check(old: &[&str], new: &[&str]) -> Vec<Edit> {
-        let (o, n) = (lines(old), lines(new));
-        let script = diff_lines(&o, &n);
+        let script = diff_lines(old, new);
         assert_eq!(
-            patch(&o, &script),
-            n,
-            "patch(diff) != new for {o:?} -> {n:?}"
+            patch(old, new, &script),
+            new,
+            "patch(diff) != new for {old:?} -> {new:?}"
         );
         script
     }
@@ -406,7 +406,7 @@ mod tests {
 
     #[test]
     fn line_map_identity_on_unchanged_file() {
-        let l = lines(&["a", "b", "c"]);
+        let l = text(&["a", "b", "c"]);
         let map = LineMap::between(&l, &l);
         for i in 1..=3 {
             assert_eq!(map.old_to_new(i), Some(i));
@@ -418,8 +418,8 @@ mod tests {
 
     #[test]
     fn line_map_tracks_insertions_above() {
-        let old = lines(&["f1", "f2", "f3"]);
-        let new = lines(&["pad1", "pad2", "f1", "f2", "f3"]);
+        let old = text(&["f1", "f2", "f3"]);
+        let new = text(&["pad1", "pad2", "f1", "f2", "f3"]);
         let map = LineMap::between(&old, &new);
         assert_eq!(map.old_to_new(1), Some(3));
         assert_eq!(map.old_to_new(3), Some(5));
@@ -432,8 +432,8 @@ mod tests {
 
     #[test]
     fn line_map_drops_deleted_and_replaced_lines() {
-        let old = lines(&["keep", "gone", "edited", "tail"]);
-        let new = lines(&["keep", "edited differently", "tail"]);
+        let old = text(&["keep", "gone", "edited", "tail"]);
+        let new = text(&["keep", "edited differently", "tail"]);
         let map = LineMap::between(&old, &new);
         assert_eq!(map.old_to_new(1), Some(1));
         assert_eq!(map.old_to_new(2), None, "deleted line has no image");
@@ -444,8 +444,8 @@ mod tests {
 
     #[test]
     fn line_map_nearby_projects_rewritten_lines() {
-        let old = lines(&["head", "edited", "tail"]);
-        let new = lines(&["pad", "head", "edited differently", "tail"]);
+        let old = text(&["head", "edited", "tail"]);
+        let new = text(&["pad", "head", "edited differently", "tail"]);
         let map = LineMap::between(&old, &new);
         assert_eq!(map.old_to_new(2), None, "no exact image");
         assert_eq!(
@@ -458,7 +458,7 @@ mod tests {
         assert_eq!(map.old_to_new_nearby(0), None);
         assert_eq!(map.old_to_new_nearby(4), None, "past end of file");
         // A fully replaced file has no anchors at all.
-        let replaced = LineMap::between(&lines(&["a", "b"]), &lines(&["x", "y"]));
+        let replaced = LineMap::between(&text(&["a", "b"]), &text(&["x", "y"]));
         assert_eq!(replaced.old_to_new_nearby(1), None);
         assert_eq!(replaced.old_to_new_nearby(2), None);
     }
@@ -466,8 +466,8 @@ mod tests {
     #[test]
     fn line_map_nearby_anchors_on_following_line_at_file_start() {
         // The first line is rewritten; the only anchor is below it.
-        let old = lines(&["edited", "kept"]);
-        let new = lines(&["edited differently", "kept", "extra"]);
+        let old = text(&["edited", "kept"]);
+        let new = text(&["edited differently", "kept", "extra"]);
         let map = LineMap::between(&old, &new);
         assert_eq!(map.old_to_new(1), None);
         assert_eq!(map.old_to_new_nearby(1), Some(1));
@@ -477,8 +477,8 @@ mod tests {
     fn line_map_nearby_deletion_at_end_of_file() {
         // The tail of the file is deleted: the deleted lines project past
         // the new EOF and must report no image, not a phantom line number.
-        let old = lines(&["a", "b", "c", "d", "e"]);
-        let new = lines(&["a", "b"]);
+        let old = text(&["a", "b", "c", "d", "e"]);
+        let new = text(&["a", "b"]);
         let map = LineMap::between(&old, &new);
         assert_eq!(map.old_to_new_nearby(2), Some(2), "kept line still maps");
         for gone in 3..=5 {
@@ -490,7 +490,7 @@ mod tests {
         }
         // A tail line *replaced* in place (projection still in range) keeps
         // its nearby image.
-        let replaced = LineMap::between(&lines(&["a", "b", "c"]), &lines(&["a", "b", "x"]));
+        let replaced = LineMap::between(&text(&["a", "b", "c"]), &text(&["a", "b", "x"]));
         assert_eq!(replaced.old_to_new_nearby(3), Some(3));
     }
 
@@ -498,8 +498,8 @@ mod tests {
     fn line_map_nearby_adjacent_hunks_project_through_their_own_anchor() {
         // Two edit hunks separated by a single kept line: each rewritten
         // line must anchor on its own side, not bleed into the other hunk.
-        let old = lines(&["k1", "e1", "e2", "k2", "e3", "k3"]);
-        let new = lines(&["k1", "n1", "n2", "n3", "k2", "n4", "k3"]);
+        let old = text(&["k1", "e1", "e2", "k2", "e3", "k3"]);
+        let new = text(&["k1", "n1", "n2", "n3", "k2", "n4", "k3"]);
         let map = LineMap::between(&old, &new);
         assert_eq!(map.old_to_new_nearby(2), Some(2), "first hunk, first line");
         assert_eq!(map.old_to_new_nearby(3), Some(3), "first hunk, second line");
@@ -514,8 +514,8 @@ mod tests {
     #[test]
     fn line_map_nearby_zero_length_new_file() {
         // Everything deleted: no anchors exist in either direction.
-        let old = lines(&["a", "b", "c"]);
-        let map = LineMap::between(&old, &lines(&[]));
+        let old = text(&["a", "b", "c"]);
+        let map = LineMap::between(&old, &text(&[]));
         assert_eq!(map.new_len(), 0);
         for line in 1..=3 {
             assert_eq!(map.old_to_new(line), None);
@@ -523,16 +523,35 @@ mod tests {
         }
         // And the mirror degenerate case: an empty old file has no lines to
         // project at all.
-        let grown = LineMap::between(&lines(&[]), &lines(&["x"]));
+        let grown = LineMap::between(&text(&[]), &text(&["x"]));
         assert_eq!(grown.old_to_new_nearby(1), None);
         assert_eq!(grown.old_len(), 0);
     }
 
     #[test]
+    fn line_map_splits_lines_as_blame_does() {
+        // CRLF: each `\r` stays on its line, so a line that only lost its
+        // `\r` is an edit, exactly as blame attributes it.
+        let map = LineMap::between("a\r\nb\r\nc\r\n", "a\r\nb\nc\r\n");
+        assert_eq!((map.old_len(), map.new_len()), (3, 3));
+        assert_eq!(map.old_to_new(1), Some(1));
+        assert_eq!(map.old_to_new(2), None, "`b\\r` and `b` differ");
+        assert_eq!(map.old_to_new(3), Some(3));
+        // A missing trailing newline changes no line.
+        let map = LineMap::between("a\nb", "a\nb\n");
+        assert_eq!((map.old_len(), map.new_len()), (2, 2));
+        assert_eq!(map.old_to_new(2), Some(2));
+        // Empty content has no lines; a lone newline is one empty line.
+        let map = LineMap::between("", "\n");
+        assert_eq!((map.old_len(), map.new_len()), (0, 1));
+        assert_eq!(map.new_to_old(1), None);
+    }
+
+    #[test]
     fn line_map_roundtrips_kept_lines() {
-        let old = lines(&["a", "b", "c", "d", "e"]);
-        let new = lines(&["x", "a", "c", "y", "e"]);
-        let map = LineMap::between(&old, &new);
+        let old = ["a", "b", "c", "d", "e"];
+        let new = ["x", "a", "c", "y", "e"];
+        let map = LineMap::between(&text(&old), &text(&new));
         for i in 1..=old.len() as u32 {
             if let Some(j) = map.old_to_new(i) {
                 assert_eq!(map.new_to_old(j), Some(i), "kept lines invert");

@@ -6,6 +6,10 @@
 //! linear history (like `git log --first-parent`) where each commit writes
 //! full file contents; blame is maintained incrementally by diffing each
 //! write against the previous content.
+//!
+//! A file's text lives once, in the commit write that last set it. The
+//! per-file state holds only one [`BlameEntry`] per line and a reference
+//! to that write, so the blame layer keeps no second copy of any line.
 
 use std::collections::{
     BTreeMap,
@@ -14,6 +18,7 @@ use std::collections::{
 
 use crate::diff::{
     diff_lines,
+    lines,
     Edit, //
 };
 
@@ -67,15 +72,21 @@ pub struct BlameEntry {
     pub timestamp: i64,
 }
 
-#[derive(Clone, Debug)]
-struct LineRecord {
-    text: String,
-    blame: BlameEntry,
-}
-
 #[derive(Clone, Debug, Default)]
 struct FileState {
-    lines: Vec<LineRecord>,
+    /// One entry per line of the file's current text.
+    blame: Vec<BlameEntry>,
+    /// The write that set the current text: (commit, index in its writes).
+    /// `None` only for a state not yet written.
+    write: Option<(CommitId, usize)>,
+}
+
+impl FileState {
+    /// The file's current text, borrowed from the commit that set it.
+    fn text<'c>(&self, commits: &'c [Commit]) -> &'c str {
+        self.write
+            .map_or("", |(c, k)| &commits[c.0 as usize].writes[k].content)
+    }
 }
 
 /// An in-memory repository with a linear history.
@@ -128,10 +139,6 @@ impl Repository {
             _ => timestamp,
         };
         let id = CommitId(self.commits.len() as u32);
-        for w in &writes {
-            self.apply_write(id, author, timestamp, w);
-            self.file_log.entry(w.path.clone()).or_default().push(id);
-        }
         self.commits.push(Commit {
             id,
             author,
@@ -139,48 +146,38 @@ impl Repository {
             message: message.into(),
             writes,
         });
+        let blame = BlameEntry {
+            author,
+            commit: id,
+            timestamp,
+        };
+        for (k, w) in self.commits[id.0 as usize].writes.iter().enumerate() {
+            let state = self.files.entry(w.path.clone()).or_default();
+            let old: Vec<&str> = lines(state.text(&self.commits)).collect();
+            let new: Vec<&str> = lines(&w.content).collect();
+            let mut reblamed = Vec::with_capacity(new.len());
+            let mut pos = 0usize;
+            for edit in diff_lines(&old, &new) {
+                match edit {
+                    Edit::Keep(n) => {
+                        reblamed.extend_from_slice(&state.blame[pos..pos + n]);
+                        pos += n;
+                    }
+                    Edit::Delete(n) => pos += n,
+                    Edit::Insert(n) => reblamed.extend(std::iter::repeat_n(blame, n)),
+                }
+            }
+            state.blame = reblamed;
+            state.write = Some((id, k));
+            self.file_log.entry(w.path.clone()).or_default().push(id);
+        }
         id
     }
 
-    fn apply_write(&mut self, commit: CommitId, author: AuthorId, timestamp: i64, w: &FileWrite) {
-        let new_lines: Vec<String> = split_lines(&w.content);
-        let state = self.files.entry(w.path.clone()).or_default();
-        let old_lines: Vec<String> = state.lines.iter().map(|l| l.text.clone()).collect();
-        let script = diff_lines(&old_lines, &new_lines);
-        let blame = BlameEntry {
-            author,
-            commit,
-            timestamp,
-        };
-        let mut out = Vec::with_capacity(new_lines.len());
-        let mut pos = 0usize;
-        for edit in script {
-            match edit {
-                Edit::Keep(n) => {
-                    out.extend_from_slice(&state.lines[pos..pos + n]);
-                    pos += n;
-                }
-                Edit::Delete(n) => pos += n,
-                Edit::Insert(lines) => {
-                    out.extend(lines.into_iter().map(|text| LineRecord { text, blame }));
-                }
-            }
-        }
-        state.lines = out;
-    }
-
-    /// Current content of a file, if it exists.
-    pub fn file_content(&self, path: &str) -> Option<String> {
-        self.files.get(path).map(|s| {
-            let mut out = String::new();
-            for (i, l) in s.lines.iter().enumerate() {
-                if i > 0 {
-                    out.push('\n');
-                }
-                out.push_str(&l.text);
-            }
-            out
-        })
+    /// Current content of a file, if it exists: the text of the write that
+    /// last set it.
+    pub fn file_content(&self, path: &str) -> Option<&str> {
+        self.files.get(path).map(|s| s.text(&self.commits))
     }
 
     /// All tracked file paths, sorted.
@@ -196,7 +193,7 @@ impl Repository {
         if line == 0 {
             return None;
         }
-        state.lines.get((line - 1) as usize).map(|l| l.blame)
+        state.blame.get((line - 1) as usize).copied()
     }
 
     /// The author of one line, if known.
@@ -206,7 +203,7 @@ impl Repository {
 
     /// Number of lines currently in a file.
     pub fn line_count(&self, path: &str) -> usize {
-        self.files.get(path).map(|s| s.lines.len()).unwrap_or(0)
+        self.files.get(path).map_or(0, |s| s.blame.len())
     }
 
     /// Commits that touched `path`, oldest first.
@@ -286,16 +283,6 @@ impl Repository {
     }
 }
 
-/// Splits file content into lines; a trailing newline does not create an
-/// empty final line (matching `git`'s line accounting).
-fn split_lines(content: &str) -> Vec<String> {
-    if content.is_empty() {
-        return Vec::new();
-    }
-    let trimmed = content.strip_suffix('\n').unwrap_or(content);
-    trimmed.split('\n').map(str::to_string).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,7 +345,53 @@ mod tests {
         assert!(repo.blame("f", 0).is_none());
         assert!(repo.blame("f", 2).is_some());
         assert!(repo.blame("f", 3).is_none());
-        assert_eq!(repo.file_content("f").unwrap(), "x\ny");
+        assert_eq!(repo.file_content("f"), Some("x\ny\n"));
+    }
+
+    #[test]
+    fn a_commit_writing_a_path_twice_blames_the_second_write() {
+        let mut repo = Repository::new();
+        let a = repo.add_author("a");
+        let b = repo.add_author("b");
+        let c1 = repo.commit(a, 1, "init", vec![write("f", "one\ntwo\n")]);
+        let c2 = repo.commit(
+            b,
+            2,
+            "twice",
+            vec![write("f", "one\nx\n"), write("f", "one\ntwo\nthree\n")],
+        );
+        // The second write is diffed against the first: `two`, deleted by
+        // the first write and restored by the second, is the committer's.
+        assert_eq!(repo.file_content("f"), Some("one\ntwo\nthree\n"));
+        assert_eq!(repo.line_count("f"), 3);
+        assert_eq!(repo.blame_author("f", 1), Some(a));
+        assert_eq!(repo.blame_author("f", 2), Some(b));
+        assert_eq!(repo.blame("f", 3).map(|l| l.commit), Some(c2));
+        assert_eq!(repo.log("f"), &[c1, c2, c2]);
+    }
+
+    #[test]
+    fn empty_and_unterminated_content_count_lines_like_git() {
+        let mut repo = Repository::new();
+        let a = repo.add_author("a");
+        let b = repo.add_author("b");
+        repo.commit(a, 1, "empty", vec![write("f", "")]);
+        assert_eq!(repo.line_count("f"), 0);
+        assert_eq!(repo.file_content("f"), Some(""));
+        assert_eq!(repo.blame("f", 1), None);
+        repo.commit(a, 2, "unterminated", vec![write("f", "x\ny")]);
+        assert_eq!(repo.line_count("f"), 2);
+        assert_eq!(repo.file_content("f"), Some("x\ny"));
+        // Terminating the last line changes no line, so blame stays.
+        repo.commit(b, 3, "terminate", vec![write("f", "x\ny\n")]);
+        assert_eq!(repo.line_count("f"), 2);
+        assert_eq!(repo.blame_author("f", 2), Some(a));
+        // A lone newline is one empty line.
+        repo.commit(b, 4, "blank", vec![write("f", "\n")]);
+        assert_eq!(repo.line_count("f"), 1);
+        assert_eq!(repo.blame_author("f", 1), Some(b));
+        repo.commit(b, 5, "truncate", vec![write("f", "")]);
+        assert_eq!(repo.line_count("f"), 0);
     }
 
     #[test]

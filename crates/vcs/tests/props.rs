@@ -1,5 +1,6 @@
-//! Property tests for the VCS substrate: the diff/patch inverse law, blame
-//! coverage, and checkout consistency.
+//! Property tests for the VCS substrate: the shape of diff scripts (kept
+//! lines pair equal lines, hunks cover both files, no two neighbours of one
+//! kind), blame coverage, and checkout consistency.
 //!
 //! Each property runs as a deterministic loop over cases drawn from a
 //! seeded [`SplitMix64`]; a failing case prints its case number so it can
@@ -10,7 +11,8 @@ use vc_vcs::{
     diff::{
         churn,
         diff_lines,
-        patch, //
+        patch,
+        Edit, //
     },
     FileWrite, Repository,
 };
@@ -34,15 +36,68 @@ fn random_history(rng: &mut SplitMix64, min_revs: usize, max_revs: usize) -> Vec
     (0..n).map(|_| random_lines(rng, 40)).collect()
 }
 
-/// patch(old, diff(old, new)) == new, always.
+/// Every `Keep` hunk pairs equal lines, and the hunks cover `old` and
+/// `new` exactly; `patch` (which asserts the coverage) is the oracle.
 #[test]
-fn patch_of_diff_is_identity() {
+fn kept_lines_pair_equal_lines_and_hunks_cover_both_files() {
     let mut rng = SplitMix64::new(0xC1);
     for case in 0..200 {
         let old = random_lines(&mut rng, 40);
         let new = random_lines(&mut rng, 40);
         let script = diff_lines(&old, &new);
-        assert_eq!(patch(&old, &script), new, "case {case}: {old:?} -> {new:?}");
+        assert_eq!(
+            patch(&old, &new, &script),
+            new,
+            "case {case}: {old:?} -> {new:?}"
+        );
+        let (mut i, mut j) = (0, 0);
+        for edit in &script {
+            match *edit {
+                Edit::Keep(n) => {
+                    assert_eq!(old[i..i + n], new[j..j + n], "case {case}: {script:?}");
+                    i += n;
+                    j += n;
+                }
+                Edit::Delete(n) => i += n,
+                Edit::Insert(n) => j += n,
+            }
+        }
+        assert_eq!((i, j), (old.len(), new.len()), "case {case}: {script:?}");
+    }
+}
+
+/// No script holds an empty hunk or two adjacent hunks of the same kind:
+/// the builder merges neighbours as it goes, so no clean-up pass is needed.
+#[test]
+fn scripts_never_repeat_a_hunk_kind() {
+    let mut rng = SplitMix64::new(0xC7);
+    for case in 0..400 {
+        let old = random_lines(&mut rng, 40);
+        // Half the cases edit `old` locally so prefix/suffix trims and
+        // interleaved keeps are both exercised.
+        let new = if case % 2 == 0 {
+            random_lines(&mut rng, 40)
+        } else {
+            let mut new = old.clone();
+            let at = rng.range_inclusive_usize(0, new.len());
+            let cut = rng.range_inclusive_usize(0, (new.len() - at).min(3));
+            new.splice(at..at + cut, random_lines(&mut rng, 4));
+            new
+        };
+        let script = diff_lines(&old, &new);
+        for e in &script {
+            assert!(
+                !matches!(e, Edit::Keep(0) | Edit::Delete(0) | Edit::Insert(0)),
+                "case {case}: empty hunk in {script:?}"
+            );
+        }
+        for pair in script.windows(2) {
+            assert_ne!(
+                std::mem::discriminant(&pair[0]),
+                std::mem::discriminant(&pair[1]),
+                "case {case}: {old:?} -> {new:?} gave {script:?}"
+            );
+        }
     }
 }
 

@@ -613,8 +613,14 @@ pub fn generate(profile: &AppProfile) -> GeneratedApp {
     let mut sources: BTreeMap<String, String> = BTreeMap::new();
     let paths: Vec<String> = repo.paths().iter().map(|p| p.to_string()).collect();
     for path in paths {
-        let content = repo.file_content(&path).expect("tracked file has content");
-        sources.insert(path, content + "\n");
+        let mut content = repo
+            .file_content(&path)
+            .expect("tracked file has content")
+            .to_string();
+        if !content.ends_with('\n') {
+            content.push('\n');
+        }
+        sources.insert(path, content);
     }
     // Clamp recorded introduction times to the actual edit floor.
     for p in &mut truth.planted {

@@ -1,9 +1,11 @@
 //! Incremental (per-commit) analysis, as in a CI hook (§8.6).
 //!
-//! Generates a small synthetic application with a full commit history and
-//! replays the most recent commits through `analyze_commit`, printing the
-//! findings each commit introduces and the per-commit analysis time — the
-//! integration mode the paper measures in Table 7's last column.
+//! Generates a small synthetic application with a full commit history,
+//! walks the history forward once with `Repository::replay`, and runs each
+//! of the most recent commits through `analyze_commit_in` against its own
+//! tree and blame, printing the findings each commit introduces and the
+//! per-commit analysis time — the integration mode the paper measures in
+//! Table 7's last column.
 //!
 //! ```sh
 //! cargo run --release --example incremental_ci
@@ -11,7 +13,8 @@
 
 use std::time::Instant;
 
-use valuecheck::{incremental::analyze_commit, prune::PruneConfig, rank::RankConfig};
+use valuecheck::{incremental::analyze_commit_in, prune::PruneConfig, rank::RankConfig};
+use vc_ir::Program;
 use vc_obs::ObsSession;
 use vc_workload::{
     generate,
@@ -29,51 +32,55 @@ fn main() {
         app.repo.commits().len()
     );
 
-    // Replay the last 10 commits as a CI gate would.
-    let commits: Vec<_> = app
-        .repo
-        .commits()
-        .iter()
-        .rev()
-        .take(10)
-        .map(|c| (c.id, c.author, c.message.clone()))
-        .collect();
+    // Gate the last 10 commits as a CI hook would, in one forward walk:
+    // each commit is analysed against its own tree and blame.
+    let commits = app.repo.commits();
+    let recent = &commits[commits.len().saturating_sub(10)..];
+    let first = recent.first().expect("the history has commits").id;
 
     let obs = ObsSession::new();
     let _guard = obs.install();
     let mut total = 0.0f64;
-    for (id, author, message) in commits.iter().rev() {
-        let t0 = Instant::now();
-        let findings = analyze_commit(
-            &app.repo,
-            *id,
-            &app.defines,
-            &PruneConfig::default(),
-            &RankConfig::default(),
-        );
-        let dt = t0.elapsed().as_secs_f64();
-        total += dt;
-        println!(
-            "commit #{:<4} by {:<22} {:<40} functions analysed: {:>3}  findings: {}  ({:.3}s)",
-            id.0,
-            app.repo.author(*author).name,
-            truncate(message, 38),
-            findings.analysed_functions,
-            findings.findings.len(),
-            dt
-        );
-        for f in &findings.findings {
-            println!(
-                "    -> {} `{}` in {} (cross-scope unused definition)",
-                f.item.candidate.func_name,
-                f.item.candidate.var_name,
-                findings.changed_files.join(", ")
+    app.repo
+        .replay(recent[recent.len() - 1].id, |repo_at, tree| {
+            let id = repo_at.head().expect("the replay visits each commit");
+            if id < first {
+                return;
+            }
+            let t0 = Instant::now();
+            let sources: Vec<(&str, &str)> = tree.iter().map(|(p, s)| (*p, *s)).collect();
+            let prog = Program::build(&sources, &app.defines).expect("snapshot builds");
+            let findings = analyze_commit_in(
+                &prog,
+                repo_at,
+                id,
+                &PruneConfig::default(),
+                &RankConfig::default(),
             );
-        }
-    }
+            let dt = t0.elapsed().as_secs_f64();
+            total += dt;
+            let commit = repo_at.commit_info(id);
+            println!(
+                "commit #{:<4} by {:<22} {:<40} functions analysed: {:>3}  findings: {}  ({:.3}s)",
+                id.0,
+                repo_at.author(commit.author).name,
+                truncate(&commit.message, 38),
+                findings.analysed_functions,
+                findings.findings.len(),
+                dt
+            );
+            for f in &findings.findings {
+                println!(
+                    "    -> {} `{}` in {} (cross-scope unused definition)",
+                    f.item.candidate.func_name,
+                    f.item.candidate.var_name,
+                    findings.changed_files.join(", ")
+                );
+            }
+        });
     println!(
         "average per-commit analysis time: {:.3}s",
-        total / commits.len() as f64
+        total / recent.len() as f64
     );
     println!(
         "{} functions analysed in total, {} poisoned",

@@ -8,6 +8,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
+# warnings: every target (tests, benches, examples) must compile without a
+# rustc warning, so a new one fails here instead of piling up.
+echo "==> RUSTFLAGS=\"-D warnings\" cargo check --workspace --all-targets -q"
+RUSTFLAGS="-D warnings" cargo check --workspace --all-targets -q
+
 # benches: `cargo test` never compiles them, so a signature change that
 # breaks a bench would otherwise go unnoticed.
 echo "==> cargo build --release --workspace --benches"
